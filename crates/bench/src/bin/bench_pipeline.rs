@@ -226,19 +226,18 @@ fn main() {
         "  \"obs_overhead\": {{ \"workload\": \"signoff_c432\", \"trace_off_ms\": {obs_off_ms:.3}, \"trace_summary_ms\": {obs_summary_ms:.3}, \"summary_overhead_pct\": {obs_overhead_pct:.2} }},"
     );
 
-    // ---- Continuous profiler + TSDB sampler overhead --------------------
-    // The always-on long-horizon layer: summary tracing PLUS the stack
-    // profiler folding every span and a live sampler scraping the
-    // registry into the tiered rings every 100 ms — the exact
-    // configuration `svtd` ships with. Measured against the summary-only
-    // time above so the percentage isolates what the profiler and
-    // sampler themselves add on top of span collection. Gated by an
-    // absolute threshold in scripts/bench_compare.sh (a relative gate on
-    // a near-zero baseline would trip on timer noise).
-    println!("[7/7] continuous profiler + sampler overhead (vs summary tracing)...");
+    // ---- svtd's always-on layer: sampler + allocation attribution -------
+    // What `svtd` turns on by default on top of summary tracing: a live
+    // sampler scraping the registry into the tiered rings every 100 ms,
+    // and the counting allocator's per-thread byte count that every span
+    // drop records as its allocated bytes. Measured against the
+    // summary-only time above so the percentage isolates what those two
+    // add on top of span collection. Gated by an absolute threshold in
+    // scripts/bench_compare.sh (a relative gate on a near-zero baseline
+    // would trip on timer noise).
+    println!("[7/7] sampler + allocation attribution overhead (vs summary tracing)...");
     svt_obs::set_mode(TraceMode::Summary);
-    svt_obs::profile::reset();
-    svt_obs::profile::set_enabled(true);
+    alloc::set_active(true);
     let sampler = svt_obs::tsdb::Sampler::spawn(
         svt_obs::tsdb::global(),
         std::time::Duration::from_millis(100),
@@ -249,21 +248,25 @@ fn main() {
         let cmp = flow
             .run(&design.mapped, &design.placement)
             .expect("signoff succeeds");
-        assert_eq!(cmp, cmp_1t, "profiler changed signoff results");
+        assert_eq!(
+            cmp, cmp_1t,
+            "sampler or alloc attribution changed signoff results"
+        );
     }
-    let profile_on_ms = ms(start) / f64::from(overhead_reps);
+    let attributed_ms = ms(start) / f64::from(overhead_reps);
     sampler.stop();
-    svt_obs::profile::set_enabled(false);
-    let profile_stacks = svt_obs::profile::snapshot().len();
+    alloc::set_active(false);
     svt_obs::set_mode(TraceMode::Off);
+    let spans = svt_obs::registry().snapshot().spans;
+    let span_paths = spans.len();
     assert!(
-        profile_stacks > 0,
-        "profiler collected no stacks during the traced runs"
+        spans.iter().any(|s| s.alloc_bytes > 0),
+        "no span recorded allocated bytes during the attributed runs"
     );
-    let profile_overhead_pct = 100.0 * (profile_on_ms - obs_summary_ms) / obs_summary_ms;
+    let profile_overhead_pct = 100.0 * (attributed_ms - obs_summary_ms) / obs_summary_ms;
     let _ = writeln!(
         json,
-        "  \"profile_overhead\": {{ \"workload\": \"signoff_c432\", \"summary_ms\": {obs_summary_ms:.3}, \"profile_on_ms\": {profile_on_ms:.3}, \"stacks\": {profile_stacks}, \"profile_overhead_pct\": {profile_overhead_pct:.2} }},"
+        "  \"profile_overhead\": {{ \"workload\": \"signoff_c432\", \"summary_ms\": {obs_summary_ms:.3}, \"attributed_ms\": {attributed_ms:.3}, \"span_paths\": {span_paths}, \"profile_overhead_pct\": {profile_overhead_pct:.2} }},"
     );
 
     // One traced sign-off run, snapshotted into the report so the committed

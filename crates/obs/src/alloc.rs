@@ -1,5 +1,6 @@
-//! Heap-allocation telemetry: a [`GlobalAlloc`] wrapper attributing
-//! allocation count and bytes to the innermost active span.
+//! Heap-allocation telemetry: a [`GlobalAlloc`] wrapper counting
+//! allocations process-wide and per thread, so every span can record
+//! the bytes allocated while it was open.
 //!
 //! The workspace's litho/STA hot paths are allocation-sensitive (scratch
 //! buffers, memo keys), so knowing *which span* allocates is as valuable
@@ -11,16 +12,20 @@
 //! static ALLOC: svt_obs::alloc::CountingAlloc = svt_obs::alloc::CountingAlloc::system();
 //! ```
 //!
+//! Attribution lives in the span registry: [`crate::span`] reads this
+//! thread's byte count when it opens and the guard's drop adds the
+//! difference to the path's [`crate::SpanStat`]. A span's bytes are
+//! therefore the heap bytes allocated *on its own thread* while it was
+//! open, children included; work it hands to other threads counts on
+//! those threads' spans.
+//!
 //! # Safety discipline
 //!
 //! The recording hook runs *inside* `malloc`, so it must never allocate,
 //! lock, or panic. It therefore touches only relaxed atomics and a
-//! const-initialized thread-local [`Cell`] (no lazy allocation), and
-//! attributes to the innermost span's **leaf name** (a `&'static str`
-//! pushed by [`crate::span`]) rather than the joined `/`-path, which
-//! would require building a `String`. Two different spans sharing a leaf
-//! name aggregate together; every leaf in this workspace is unique enough
-//! in practice.
+//! const-initialized, drop-free thread-local [`Cell`] (no lazy
+//! initializer, no destructor registration), reached through `try_with`
+//! so an allocation during thread teardown is simply not attributed.
 //!
 //! # Cost contract
 //!
@@ -32,8 +37,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::ptr;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Runtime switch; off by default so the hook costs one relaxed load.
 static ACTIVE: AtomicBool = AtomicBool::new(false);
@@ -41,33 +45,21 @@ static ACTIVE: AtomicBool = AtomicBool::new(false);
 /// Process-wide allocation totals (count, bytes) while active.
 static TOTAL_COUNT: AtomicU64 = AtomicU64::new(0);
 static TOTAL_BYTES: AtomicU64 = AtomicU64::new(0);
-/// Allocations that could not claim a table slot (table full).
-static UNATTRIBUTED: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
-    /// Leaf name of the innermost active span on this thread, maintained
-    /// by `span()` / `Span::drop`. Const-init: reading it from the
-    /// allocation hook never triggers a lazy TLS initializer.
-    static CURRENT_SPAN: Cell<Option<&'static str>> = const { Cell::new(None) };
+    /// Bytes this thread has allocated while recording was active.
+    /// Const-init and drop-free, so the hook's access never allocates.
+    static THREAD_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Records the innermost active span for allocation attribution. Called
-/// by [`crate::span`] and `Span::drop`; `None` when the stack empties.
+/// Bytes the current thread has allocated while recording was active.
+/// Spans read it when they open and close; only differences matter.
 #[inline]
-pub(crate) fn set_current_span(name: Option<&'static str>) {
+pub(crate) fn thread_bytes() -> u64 {
     if !cfg!(feature = "alloc-telemetry") {
-        return;
+        return 0;
     }
-    // `try_with` so a span guard dropped during thread teardown (after TLS
-    // destruction) degrades to "no attribution" instead of aborting.
-    let _ = CURRENT_SPAN.try_with(|slot| slot.set(name));
-}
-
-/// The span leaf name allocations on this thread currently attribute to.
-/// Exposed for tests asserting the panic-safety of the span stack.
-#[must_use]
-pub fn current_span() -> Option<&'static str> {
-    CURRENT_SPAN.try_with(Cell::get).ok().flatten()
+    THREAD_BYTES.try_with(Cell::get).unwrap_or(0)
 }
 
 /// Turns allocation recording on or off at runtime. Independent of
@@ -83,34 +75,8 @@ pub fn active() -> bool {
     cfg!(feature = "alloc-telemetry") && ACTIVE.load(Ordering::Relaxed)
 }
 
-/// Fixed-size open-addressing attribution table. Slots are keyed by the
-/// span name's *data pointer* (string literals are deduplicated per crate,
-/// so one span site maps to one slot); [`snapshot_sites`] merges by
-/// content in case two crates carry an identical literal at different
-/// addresses. Power of two for mask indexing.
-const SLOTS: usize = 128;
-
-struct Slot {
-    /// Data pointer of the owning span name; null = free.
-    name: AtomicPtr<u8>,
-    /// Byte length of the owning span name; stored after the pointer is
-    /// claimed, so readers skip slots still showing 0.
-    len: AtomicUsize,
-    count: AtomicU64,
-    bytes: AtomicU64,
-}
-
-#[allow(clippy::declare_interior_mutable_const)]
-const FREE_SLOT: Slot = Slot {
-    name: AtomicPtr::new(ptr::null_mut()),
-    len: AtomicUsize::new(0),
-    count: AtomicU64::new(0),
-    bytes: AtomicU64::new(0),
-};
-
-static TABLE: [Slot; SLOTS] = [FREE_SLOT; SLOTS];
-
-/// The allocation hook proper: atomics only, no allocation, no panic.
+/// The allocation hook proper: atomics and one TLS cell, no allocation,
+/// no panic.
 #[inline]
 fn record_alloc(bytes: usize) {
     if !cfg!(feature = "alloc-telemetry") {
@@ -121,49 +87,7 @@ fn record_alloc(bytes: usize) {
     }
     TOTAL_COUNT.fetch_add(1, Ordering::Relaxed);
     TOTAL_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
-    let Some(name) = CURRENT_SPAN.try_with(Cell::get).ok().flatten() else {
-        return;
-    };
-    let key = name.as_ptr().cast_mut();
-    let mut idx = (key as usize >> 4) & (SLOTS - 1);
-    for _ in 0..SLOTS {
-        let slot = &TABLE[idx];
-        let cur = slot.name.load(Ordering::Relaxed);
-        if cur != key {
-            if !cur.is_null() {
-                idx = (idx + 1) & (SLOTS - 1);
-                continue;
-            }
-            match slot.name.compare_exchange(
-                ptr::null_mut(),
-                key,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => slot.len.store(name.len(), Ordering::Release),
-                Err(winner) if winner == key => {}
-                Err(_) => {
-                    idx = (idx + 1) & (SLOTS - 1);
-                    continue;
-                }
-            }
-        }
-        slot.count.fetch_add(1, Ordering::Relaxed);
-        slot.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-        return;
-    }
-    UNATTRIBUTED.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Allocation totals attributed to one span leaf name.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AllocSite {
-    /// Span leaf name the allocations happened under.
-    pub span: &'static str,
-    /// Number of heap allocations (realloc growth counts once).
-    pub count: u64,
-    /// Total bytes requested.
-    pub bytes: u64,
+    let _ = THREAD_BYTES.try_with(|b| b.set(b.get().wrapping_add(bytes as u64)));
 }
 
 /// Process-wide `(count, bytes)` totals recorded while active.
@@ -175,63 +99,20 @@ pub fn totals() -> (u64, u64) {
     )
 }
 
-/// Allocations that landed while no slot was claimable (full table).
-#[must_use]
-pub fn unattributed() -> u64 {
-    UNATTRIBUTED.load(Ordering::Relaxed)
-}
-
-/// Zeroes the totals and every per-span counter, keeping claimed slot
-/// names. Lets a benchmark isolate one measured section (warm up, reset,
-/// measure) instead of reporting cumulative process history. Counters
-/// racing with a live hook are zeroed on a best-effort basis — call it
-/// between sections, not under concurrent load.
+/// Zeroes the process totals. Lets a benchmark isolate one measured
+/// section (warm up, reset, measure) instead of reporting cumulative
+/// process history. Counters racing with a live hook are zeroed on a
+/// best-effort basis — call it between sections, not under concurrent
+/// load.
 pub fn reset() {
     TOTAL_COUNT.store(0, Ordering::Relaxed);
     TOTAL_BYTES.store(0, Ordering::Relaxed);
-    UNATTRIBUTED.store(0, Ordering::Relaxed);
-    for slot in &TABLE {
-        slot.count.store(0, Ordering::Relaxed);
-        slot.bytes.store(0, Ordering::Relaxed);
-    }
 }
 
-/// The per-span attribution table, merged by span name content and sorted
-/// by name. Cheap (reads at most one atomic triple per table slot); safe to call from a
-/// scrape handler while the hook is live.
-#[must_use]
-pub fn snapshot_sites() -> Vec<AllocSite> {
-    let mut sites: Vec<AllocSite> = Vec::new();
-    for slot in &TABLE {
-        let name = slot.name.load(Ordering::Relaxed);
-        if name.is_null() {
-            continue;
-        }
-        let len = slot.len.load(Ordering::Acquire);
-        if len == 0 {
-            // Claimed a heartbeat ago; its length store hasn't landed.
-            continue;
-        }
-        // SAFETY: `name`/`len` were published from a `&'static str`'s data
-        // pointer and byte length, so the region is live, immutable UTF-8.
-        let span = unsafe { std::str::from_utf8_unchecked(std::slice::from_raw_parts(name, len)) };
-        let count = slot.count.load(Ordering::Relaxed);
-        let bytes = slot.bytes.load(Ordering::Relaxed);
-        if let Some(existing) = sites.iter_mut().find(|s| s.span == span) {
-            existing.count += count;
-            existing.bytes += bytes;
-        } else {
-            sites.push(AllocSite { span, count, bytes });
-        }
-    }
-    sites.sort_by(|a, b| a.span.cmp(b.span));
-    sites
-}
-
-/// Pushes the current allocation totals and per-span attribution into the
-/// global registry as gauges (`alloc.total.count`, `alloc.total.bytes`,
-/// `alloc.span.<leaf>.bytes`, …) so they ride along in every snapshot,
-/// exposition, and scrape. Allocates freely — never call from the hook.
+/// Pushes the current allocation totals into the global registry as the
+/// `alloc.total.count` and `alloc.total.bytes` gauges, so they ride along
+/// in every snapshot, exposition, and sampler tick. Allocates freely —
+/// never call from the hook.
 pub fn publish_gauges() {
     let (count, bytes) = totals();
     let clamp = |v: u64| i64::try_from(v).unwrap_or(i64::MAX);
@@ -241,23 +122,13 @@ pub fn publish_gauges() {
     crate::registry()
         .gauge("alloc.total.bytes")
         .set(clamp(bytes));
-    crate::registry()
-        .gauge("alloc.unattributed.count")
-        .set(clamp(unattributed()));
-    for site in snapshot_sites() {
-        crate::registry()
-            .gauge(&format!("alloc.span.{}.count", site.span))
-            .set(clamp(site.count));
-        crate::registry()
-            .gauge(&format!("alloc.span.{}.bytes", site.span))
-            .set(clamp(site.bytes));
-    }
 }
 
 /// A [`GlobalAlloc`] wrapper that forwards to `A` and, while
-/// [`set_active`] is on, attributes each allocation to the innermost
-/// active span. Deallocations are forwarded untouched: the telemetry
-/// answers "who allocates", and churn shows up in `count` regardless.
+/// [`set_active`] is on, counts each allocation into the process totals
+/// and the allocating thread's byte count. Deallocations are forwarded
+/// untouched: the telemetry answers "who allocates", and churn shows up
+/// in `count` regardless.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct CountingAlloc<A = System>(A);
 

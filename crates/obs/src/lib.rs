@@ -4,12 +4,13 @@
 //!
 //! * [`metrics`] — lock-free primitives: [`Counter`], [`Gauge`],
 //!   [`Histogram`] (log2 ns buckets), and [`SpanStat`] (count/total/min/max
-//!   per span path). All updates are relaxed atomics.
+//!   and allocated bytes per span path). All updates are relaxed atomics.
 //! * [`mod@registry`] — a sharded global [`Registry`] (lock-striped like
 //!   `svt-exec`'s memo cache) mapping names to leaked `&'static` handles,
 //!   plus cache-telemetry probes registered by the caches themselves.
-//!   Snapshots are name-sorted and render as a tree summary, JSON, or a
-//!   Prometheus-style exposition (`render`).
+//!   Snapshots are name-sorted and render as a tree summary, JSON, a
+//!   Prometheus-style exposition (`render`), or flame-graph views of the
+//!   span aggregates ([`profile`]).
 //! * spans — [`span`] returns an RAII guard timing a region with
 //!   `std::time::Instant` (monotonic). Guards nest through a thread-local
 //!   path stack, so `span("flow")` containing `span("corner")` aggregates
@@ -19,8 +20,9 @@
 //! # Overhead contract
 //!
 //! Tracing is controlled by `SVT_TRACE` (`off` | `summary` |
-//! `json[:path]`), latched on first probe. When off, every probe is one
-//! relaxed atomic load and a predictable branch — the pipeline's timing
+//! `json[:path]` | `chrome[:path]` | `prom[:path]`), latched on first
+//! probe. When off, every probe is one relaxed atomic load and a
+//! predictable branch — the pipeline's timing
 //! results are bit-identical with tracing on, off, or compiled out
 //! (`default-features = false` removes the probes entirely), and
 //! `bench_pipeline` measures the off-mode cost every run. Counter and
@@ -245,17 +247,17 @@ thread_local! {
 }
 
 /// An RAII guard timing a region; created by [`span`]. Dropping the guard
-/// records the elapsed monotonic time under the guard's `/`-joined path.
+/// records the elapsed monotonic time, and the heap bytes this thread
+/// allocated meanwhile, under the guard's `/`-joined path.
 #[must_use = "a span guard measures until it is dropped"]
 #[derive(Debug)]
 pub struct Span {
     start: Option<Instant>,
     name: &'static str,
-    /// Heap bytes allocated process-wide when the span opened; only
-    /// sampled while the continuous profiler is armed, so the profile
-    /// can attribute allocation to stacks without touching the span's
-    /// disabled path.
-    alloc_start_bytes: u64,
+    /// This thread's allocated-byte count when the span opened
+    /// ([`alloc::thread_bytes`]); the drop records the difference, so a
+    /// span's bytes include its children's.
+    alloc_start: u64,
 }
 
 /// Opens a span named `name`, nested under any enclosing spans of this
@@ -267,23 +269,17 @@ pub fn span(name: &'static str) -> Span {
         return Span {
             start: None,
             name,
-            alloc_start_bytes: 0,
+            alloc_start: 0,
         };
     }
     SPAN_STACK.with(|stack| stack.borrow_mut().push(name));
-    alloc::set_current_span(Some(name));
     if timeline_enabled() {
         timeline::record(timeline::Phase::Begin, name);
     }
-    let alloc_start_bytes = if profile::enabled() {
-        alloc::totals().1
-    } else {
-        0
-    };
     Span {
         start: Some(Instant::now()),
         name,
-        alloc_start_bytes,
+        alloc_start: alloc::thread_bytes(),
     }
 }
 
@@ -291,6 +287,7 @@ impl Drop for Span {
     fn drop(&mut self) {
         let Some(start) = self.start else { return };
         let elapsed = start.elapsed();
+        let alloc_bytes = alloc::thread_bytes().wrapping_sub(self.alloc_start);
         if timeline_enabled() {
             timeline::record(timeline::Phase::End, self.name);
         }
@@ -298,18 +295,10 @@ impl Drop for Span {
             let mut stack = stack.borrow_mut();
             let path = stack.join("/");
             stack.pop();
-            alloc::set_current_span(stack.last().copied());
             path
         });
         let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        registry().span_stat(&path).record(ns);
-        // Profiler-off cost inside an enabled span: one relaxed load.
-        // The SAME ns value feeds both sinks, so the folded profile and
-        // the registry span aggregates agree exactly.
-        if profile::enabled() {
-            let alloc_bytes = alloc::totals().1.saturating_sub(self.alloc_start_bytes);
-            profile::record(&path, ns, alloc_bytes);
-        }
+        registry().span_stat(&path).record(ns, alloc_bytes);
     }
 }
 
@@ -427,7 +416,7 @@ mod tests {
     // Mode state is process-global and the harness runs tests on parallel
     // threads, so every test flipping it holds this lock and restores
     // `Off` before returning.
-    fn mode_lock() -> std::sync::MutexGuard<'static, ()> {
+    pub(crate) fn mode_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)

@@ -257,13 +257,16 @@ pub fn quantile_from_buckets(buckets: &[(u64, u64)], q: f64) -> f64 {
     })
 }
 
-/// Aggregated timing of one span path: call count, total/min/max duration.
+/// Aggregate of one span path: call count, total/min/max duration, and
+/// the heap bytes allocated on the span's own thread while it was open
+/// (children included).
 #[derive(Debug)]
 pub struct SpanStat {
     count: AtomicU64,
     total_ns: AtomicU64,
     min_ns: AtomicU64,
     max_ns: AtomicU64,
+    alloc_bytes: AtomicU64,
 }
 
 impl Default for SpanStat {
@@ -273,18 +276,23 @@ impl Default for SpanStat {
             total_ns: AtomicU64::new(0),
             min_ns: AtomicU64::new(u64::MAX),
             max_ns: AtomicU64::new(0),
+            alloc_bytes: AtomicU64::new(0),
         }
     }
 }
 
 impl SpanStat {
-    /// Records one completed span of `ns` nanoseconds.
+    /// Records one completed span of `ns` nanoseconds that allocated
+    /// `alloc_bytes` heap bytes.
     #[inline]
-    pub fn record(&self, ns: u64) {
+    pub fn record(&self, ns: u64, alloc_bytes: u64) {
         self.count.fetch_add(1, Ordering::Relaxed);
         self.total_ns.fetch_add(ns, Ordering::Relaxed);
         self.min_ns.fetch_min(ns, Ordering::Relaxed);
         self.max_ns.fetch_max(ns, Ordering::Relaxed);
+        if alloc_bytes > 0 {
+            self.alloc_bytes.fetch_add(alloc_bytes, Ordering::Relaxed);
+        }
     }
 
     /// Number of completed spans.
@@ -315,6 +323,13 @@ impl SpanStat {
         self.max_ns.load(Ordering::Relaxed)
     }
 
+    /// Heap bytes allocated across all spans, children included (0
+    /// unless allocation attribution was active).
+    #[must_use]
+    pub fn alloc_bytes(&self) -> u64 {
+        self.alloc_bytes.load(Ordering::Relaxed)
+    }
+
     /// Mean span duration in nanoseconds, or 0 with no spans.
     #[must_use]
     pub fn mean_ns(&self) -> f64 {
@@ -334,6 +349,7 @@ impl SpanStat {
         self.total_ns.store(0, Ordering::Relaxed);
         self.min_ns.store(u64::MAX, Ordering::Relaxed);
         self.max_ns.store(0, Ordering::Relaxed);
+        self.alloc_bytes.store(0, Ordering::Relaxed);
     }
 }
 
@@ -417,18 +433,25 @@ mod tests {
     fn span_stat_tracks_extremes() {
         let s = SpanStat::default();
         assert_eq!(s.min_ns(), 0, "empty stat has no minimum");
-        s.record(10);
-        s.record(30);
-        s.record(20);
+        s.record(10, 0);
+        s.record(30, 64);
+        s.record(20, 8);
         assert_eq!(s.count(), 3);
         assert_eq!(s.total_ns(), 60);
         assert_eq!(s.min_ns(), 10);
         assert_eq!(s.max_ns(), 30);
+        assert_eq!(s.alloc_bytes(), 72);
         assert!((s.mean_ns() - 20.0).abs() < 1e-12);
         s.reset();
         assert_eq!(
-            (s.count(), s.total_ns(), s.min_ns(), s.max_ns()),
-            (0, 0, 0, 0)
+            (
+                s.count(),
+                s.total_ns(),
+                s.min_ns(),
+                s.max_ns(),
+                s.alloc_bytes()
+            ),
+            (0, 0, 0, 0, 0)
         );
     }
 

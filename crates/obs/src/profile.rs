@@ -1,164 +1,43 @@
-//! Always-on continuous profiler: collapsed span-stack aggregation with
-//! a hand-rolled flame-graph renderer.
+//! Flame-graph views of the registry's span aggregates: collapsed
+//! stacks, JSON, and a hand-rolled SVG.
 //!
-//! Every [`crate::Span`] drop already knows its full `/`-joined stack
-//! path and duration; when profiling is enabled, the drop additionally
-//! folds `(path, wall_ns, alloc_bytes)` into a sharded aggregation map
-//! here. The profile therefore stays consistent with the registry's
-//! [`crate::SpanEntry`] aggregates by construction — the wall-ns folded
-//! under a stack equals the `total_ns` of the same span path, which the
-//! profiler differential test asserts exactly on a single-threaded run.
-//!
-//! # Cost contract
-//!
-//! Mirrors `SVT_TRACE`: disabled (the default), the only cost is **one
-//! relaxed atomic load** inside an already-enabled span drop — and spans
-//! themselves are inert when tracing is off, so batch runs pay nothing
-//! at all. Enabled, each span drop takes one shard lock (the same order
-//! of cost as the registry's own `span_stat` lookup on that path).
-//! `SVT_PROFILE=1`/`on` arms it from the environment; `svtd` arms it
-//! explicitly at boot.
+//! Every [`crate::Span`] drop already records its `/`-joined path,
+//! duration, and allocated bytes into the registry's
+//! [`crate::SpanStat`], so a profile is just
+//! `registry().snapshot().spans` read as stacks: a span path is a stack,
+//! its `total_ns` the stack's inclusive wall time. The renderers derive
+//! self time as `inclusive − Σ direct children`. Nothing is recorded
+//! here, so the profile costs nothing beyond span collection itself
+//! (`SVT_TRACE`).
 
-use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// Environment variable arming the profiler (`1`, `true`, or `on`).
-pub const PROFILE_ENV: &str = "SVT_PROFILE";
-
-const STATE_UNSET: u8 = 0;
-const STATE_OFF: u8 = 1;
-const STATE_ON: u8 = 2;
-
-static STATE: AtomicU8 = AtomicU8::new(STATE_UNSET);
-
-#[cold]
-fn init_from_env() -> u8 {
-    let raw = std::env::var(PROFILE_ENV).unwrap_or_default();
-    let raw = raw.trim();
-    let code = if raw == "1" || raw.eq_ignore_ascii_case("on") || raw.eq_ignore_ascii_case("true") {
-        STATE_ON
-    } else {
-        STATE_OFF
-    };
-    STATE.store(code, Ordering::Relaxed);
-    code
-}
-
-/// Whether stack folding is active. One relaxed load after the first
-/// call — this is the only cost a profiler-off span drop pays.
-#[inline]
-#[must_use]
-pub fn enabled() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        STATE_UNSET => init_from_env() == STATE_ON,
-        code => code == STATE_ON,
-    }
-}
-
-/// Arms or disarms the profiler at runtime, overriding `SVT_PROFILE`.
-pub fn set_enabled(on: bool) {
-    STATE.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed);
-}
-
-/// Aggregate of one collapsed stack.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct Agg {
-    count: u64,
-    wall_ns: u64,
-    alloc_bytes: u64,
-}
-
-const SHARDS: usize = 16;
-
-fn shards() -> &'static [Mutex<HashMap<String, Agg>>; SHARDS] {
-    static SHARDS_CELL: OnceLock<[Mutex<HashMap<String, Agg>>; SHARDS]> = OnceLock::new();
-    SHARDS_CELL.get_or_init(|| std::array::from_fn(|_| Mutex::new(HashMap::new())))
-}
-
-fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Folds one completed span into the profile under its `/`-joined stack
-/// path. Called from [`crate::Span`]'s drop with the **same** duration
-/// it records into the registry, so the two stay bit-consistent.
-pub fn record(stack: &str, wall_ns: u64, alloc_bytes: u64) {
-    let hash = BuildHasherDefault::<DefaultHasher>::default().hash_one(stack);
-    let shard = &shards()[(hash >> 32) as usize & (SHARDS - 1)];
-    let mut map = lock_recovering(shard);
-    let agg = map.entry(stack.to_string()).or_default();
-    agg.count += 1;
-    agg.wall_ns += wall_ns;
-    agg.alloc_bytes += alloc_bytes;
-}
-
-/// One collapsed stack in a profile snapshot. `wall_ns` is inclusive
-/// (children's time is also inside their ancestors' stacks — exactly as
-/// span aggregation works); the renderers derive self time as
-/// `inclusive − Σ direct children`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StackEntry {
-    /// `/`-separated span stack, root first.
-    pub stack: String,
-    /// Completed spans folded under this exact stack.
-    pub count: u64,
-    /// Inclusive wall nanoseconds.
-    pub wall_ns: u64,
-    /// Inclusive heap bytes allocated while the stack was innermost-open
-    /// (0 unless alloc telemetry was active).
-    pub alloc_bytes: u64,
-}
-
-/// The profile so far, sorted by stack path.
-#[must_use]
-pub fn snapshot() -> Vec<StackEntry> {
-    let mut entries: Vec<StackEntry> = Vec::new();
-    for shard in shards() {
-        for (stack, agg) in lock_recovering(shard).iter() {
-            entries.push(StackEntry {
-                stack: stack.clone(),
-                count: agg.count,
-                wall_ns: agg.wall_ns,
-                alloc_bytes: agg.alloc_bytes,
-            });
-        }
-    }
-    entries.sort_by(|a, b| a.stack.cmp(&b.stack));
-    entries
-}
-
-/// Discards every folded stack (benchmark sections, tests).
-pub fn reset() {
-    for shard in shards() {
-        lock_recovering(shard).clear();
-    }
-}
+use crate::SpanEntry;
 
 /// Self wall-ns of `entry` within `entries`: inclusive time minus the
 /// inclusive time of its direct children (clamped at zero — relaxed
 /// counters can skew a few ns between parent and child).
 #[must_use]
-pub fn self_ns(entry: &StackEntry, entries: &[StackEntry]) -> u64 {
-    let prefix = format!("{}/", entry.stack);
+pub fn self_ns(entry: &SpanEntry, entries: &[SpanEntry]) -> u64 {
+    let prefix = format!("{}/", entry.path);
     let children: u64 = entries
         .iter()
-        .filter(|e| e.stack.starts_with(&prefix) && !e.stack[prefix.len()..].contains('/'))
-        .map(|e| e.wall_ns)
+        .filter(|e| e.path.starts_with(&prefix) && !e.path[prefix.len()..].contains('/'))
+        .map(|e| e.total_ns)
         .sum();
-    entry.wall_ns.saturating_sub(children)
+    entry.total_ns.saturating_sub(children)
 }
 
 /// Renders the profile in Brendan-Gregg collapsed form — one
 /// `seg;seg;seg self_wall_ns` line per stack, the format every flame
 /// graph tool ingests. Stacks whose self time rounds to zero still
-/// print (count carries information), sorted by path.
+/// print (count carries information), in the order given (snapshots
+/// sort by path).
 #[must_use]
-pub fn render_collapsed(entries: &[StackEntry]) -> String {
+pub fn render_collapsed(entries: &[SpanEntry]) -> String {
     let mut out = String::with_capacity(entries.len() * 48);
     for entry in entries {
-        out.push_str(&entry.stack.replace('/', ";"));
+        out.push_str(&entry.path.replace('/', ";"));
         out.push(' ');
         out.push_str(&self_ns(entry, entries).to_string());
         out.push('\n');
@@ -166,9 +45,11 @@ pub fn render_collapsed(entries: &[StackEntry]) -> String {
     out
 }
 
-/// Renders the profile as a JSON array of stack objects.
+/// Renders the profile as a JSON array of stack objects: `stack` (the
+/// span path), `count`, inclusive `wall_ns`, `self_ns`, and inclusive
+/// `alloc_bytes`.
 #[must_use]
-pub fn to_json(entries: &[StackEntry]) -> String {
+pub fn to_json(entries: &[SpanEntry]) -> String {
     let mut out = String::from("{\"stacks\":[");
     for (i, e) in entries.iter().enumerate() {
         if i > 0 {
@@ -176,9 +57,9 @@ pub fn to_json(entries: &[StackEntry]) -> String {
         }
         out.push_str(&format!(
             "{{\"stack\":\"{}\",\"count\":{},\"wall_ns\":{},\"self_ns\":{},\"alloc_bytes\":{}}}",
-            crate::json::escape_json(&e.stack),
+            crate::json::escape_json(&e.path),
             e.count,
-            e.wall_ns,
+            e.total_ns,
             self_ns(e, entries),
             e.alloc_bytes
         ));
@@ -198,7 +79,7 @@ struct Node {
     children: Vec<Node>,
 }
 
-fn build_tree(entries: &[StackEntry]) -> Node {
+fn build_tree(entries: &[SpanEntry]) -> Node {
     let mut root = Node {
         name: "all".to_string(),
         value: 0,
@@ -208,7 +89,7 @@ fn build_tree(entries: &[StackEntry]) -> Node {
     };
     for entry in entries {
         let mut node = &mut root;
-        for seg in entry.stack.split('/') {
+        for seg in entry.path.split('/') {
             let pos = node.children.iter().position(|c| c.name == seg);
             let idx = match pos {
                 Some(idx) => idx,
@@ -225,7 +106,7 @@ fn build_tree(entries: &[StackEntry]) -> Node {
             };
             node = &mut node.children[idx];
         }
-        node.value += entry.wall_ns;
+        node.value += entry.total_ns;
         node.count += entry.count;
         node.alloc_bytes += entry.alloc_bytes;
     }
@@ -260,9 +141,12 @@ fn xml_escape(s: &str) -> String {
 
 /// Renders the profile as a self-contained flame-graph SVG: nested
 /// frames, width proportional to inclusive wall time, hover titles with
-/// exact ns/count/alloc figures. No scripts, no external assets.
+/// exact ns/count/alloc figures. No scripts, no external assets. Every
+/// non-empty frame is emitted however narrow, so a microsecond request
+/// span stays findable by name next to a second-long warm-up (the frame
+/// count is bounded by the registry's span paths).
 #[must_use]
-pub fn render_flame_svg(entries: &[StackEntry]) -> String {
+pub fn render_flame_svg(entries: &[SpanEntry]) -> String {
     let root = build_tree(entries);
     fn depth_of(node: &Node) -> usize {
         1 + node.children.iter().map(depth_of).max().unwrap_or(0)
@@ -274,16 +158,16 @@ pub fn render_flame_svg(entries: &[StackEntry]) -> String {
         "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"{SVG_W}\" height=\"{height}\" \
          font-family=\"monospace\" font-size=\"11\">\n\
          <rect width=\"100%\" height=\"100%\" fill=\"#f8f8f8\"/>\n\
-         <text x=\"8\" y=\"16\">svt continuous profile — {} stacks, {} ns total</text>\n",
+         <text x=\"8\" y=\"16\">svt span profile — {} stacks, {} ns total</text>\n",
         entries.len(),
         root.value
     );
     #[allow(clippy::cast_precision_loss)]
     fn emit(node: &Node, x: f64, y: f64, scale: f64, svg: &mut String) {
-        let w = node.value as f64 * scale;
-        if w < 0.4 {
+        if node.value == 0 {
             return;
         }
+        let w = node.value as f64 * scale;
         let name = xml_escape(&node.name);
         svg.push_str(&format!(
             "<g><title>{name}: {} ns, {} calls, {} alloc bytes</title>\
@@ -324,81 +208,159 @@ pub fn render_flame_svg(entries: &[StackEntry]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::JsonValue;
 
-    // The fold map is process-global; tests that reset it serialize.
-    fn profile_lock() -> MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    fn entry(path: &str, count: u64, total_ns: u64, alloc_bytes: u64) -> SpanEntry {
+        SpanEntry {
+            path: path.to_string(),
+            count,
+            total_ns,
+            min_ns: 0,
+            max_ns: 0,
+            alloc_bytes,
+        }
     }
 
     #[test]
-    fn folding_aggregates_by_stack() {
-        let _guard = profile_lock();
-        reset();
-        record("a", 100, 10);
-        record("a/b", 60, 4);
-        record("a/b", 40, 2);
-        record("a/c", 10, 0);
-        let snap = snapshot();
-        let ab = snap.iter().find(|e| e.stack == "a/b").unwrap();
-        assert_eq!((ab.count, ab.wall_ns, ab.alloc_bytes), (2, 100, 6));
-        let a = snap.iter().find(|e| e.stack == "a").unwrap();
-        assert_eq!(self_ns(a, &snap), 0, "children consume all of a's time");
-        let collapsed = render_collapsed(&snap);
-        assert!(collapsed.contains("a;b 100"));
-        assert!(collapsed.contains("a;c 10"));
-        reset();
+    fn self_time_subtracts_direct_children_only() {
+        let entries = vec![
+            entry("a", 1, 100, 10),
+            entry("a/b", 2, 100, 6),
+            entry("a/b/c", 1, 30, 0),
+            entry("a/d", 1, 10, 0),
+        ];
+        assert_eq!(self_ns(&entries[0], &entries), 0, "clamped at zero");
+        assert_eq!(self_ns(&entries[1], &entries), 70, "grandchild excluded");
+        let collapsed = render_collapsed(&entries);
+        assert!(collapsed.contains("a;b 70\n"));
+        assert!(collapsed.contains("a;b;c 30\n"));
+        assert!(collapsed.contains("a;d 10\n"));
     }
 
     #[test]
     fn flame_svg_nests_frames_and_is_well_formed() {
-        let _guard = profile_lock();
-        reset();
-        record("root", 1_000_000, 0);
-        record("root/work", 800_000, 128);
-        record("root/work/inner", 500_000, 64);
-        let snap = snapshot();
-        let svg = render_flame_svg(&snap);
+        let entries = vec![
+            entry("blip", 1, 1, 0),
+            entry("root", 1, 1_000_000_000, 0),
+            entry("root/work", 1, 800_000_000, 128),
+            entry("root/work/inner", 1, 500_000_000, 64),
+        ];
+        let svg = render_flame_svg(&entries);
         assert!(svg.starts_with("<svg"));
         assert!(svg.trim_end().ends_with("</svg>"));
         assert!(svg.contains(">root:"), "hover title present");
         assert!(svg.contains("inner"), "deep frame rendered");
+        assert!(svg.contains("128 alloc bytes"), "alloc bytes in the title");
+        assert!(svg.contains(">blip:"), "a sub-pixel frame is still emitted");
         assert_eq!(
             svg.matches("<rect").count() - 1, // minus the background
-            4,                                // all + root + work + inner
+            5,                                // all + blip + root + work + inner
             "one frame rect per tree node"
         );
-        reset();
     }
 
+    /// A fixed nested workload recorded through real spans: every stack
+    /// the renderers emit carries exactly the registry's count and
+    /// total_ns for that path, and self time is inclusive time minus the
+    /// direct children.
     #[test]
-    fn json_rendering_parses() {
-        let _guard = profile_lock();
-        reset();
-        record("x/y", 42, 7);
-        let json = to_json(&snapshot());
-        let doc = crate::json::JsonValue::parse(&json).expect("profile JSON parses");
+    fn rendered_stacks_equal_the_registry_spans() {
+        let _guard = crate::tests::mode_lock();
+        crate::set_mode(crate::TraceMode::Summary);
+        // 25 roots with two children; the second recurses one level
+        // deeper on even rounds. The checksum loops keep wall times
+        // non-zero.
+        let mut checksum = 0u64;
+        for round in 0..25u64 {
+            let _root = crate::span("profile.view.root");
+            {
+                let _a = crate::span("profile.view.parse");
+                for i in 0..200 {
+                    checksum = checksum
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(i);
+                }
+            }
+            {
+                let _b = crate::span("profile.view.solve");
+                for i in 0..400 {
+                    checksum = checksum
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(i);
+                }
+                if round % 2 == 0 {
+                    let _c = crate::span("profile.view.refine");
+                    for i in 0..100u64 {
+                        checksum ^= i.wrapping_mul(round);
+                    }
+                }
+            }
+        }
+        crate::set_mode(crate::TraceMode::Off);
+        assert_ne!(checksum, 0, "workload optimized away");
+
+        let root = "profile.view.root";
+        let parse = "profile.view.root/profile.view.parse";
+        let solve = "profile.view.root/profile.view.solve";
+        let refine = "profile.view.root/profile.view.solve/profile.view.refine";
+        let spans: Vec<SpanEntry> = crate::registry()
+            .snapshot()
+            .spans
+            .into_iter()
+            .filter(|s| s.path.starts_with(root))
+            .collect();
+        let counts: Vec<(&str, u64)> = spans.iter().map(|s| (s.path.as_str(), s.count)).collect();
+        assert_eq!(
+            counts,
+            vec![(root, 25), (parse, 25), (solve, 25), (refine, 13)],
+            "counts follow the loop structure"
+        );
+        let total = |path: &str| spans.iter().find(|s| s.path == path).unwrap().total_ns;
+        assert!(total(root) >= total(parse) + total(solve));
+        assert!(total(solve) >= total(refine), "child wider than parent");
+        let want_self = |path: &str| match path {
+            p if p == root => total(root) - total(parse) - total(solve),
+            p if p == solve => total(solve) - total(refine),
+            p => total(p),
+        };
+
+        let doc = JsonValue::parse(&to_json(&spans)).expect("profile JSON parses");
         let stacks = doc
             .get("stacks")
-            .and_then(crate::json::JsonValue::as_array)
-            .unwrap();
-        assert_eq!(stacks.len(), 1);
-        assert_eq!(
-            stacks[0]
-                .get("wall_ns")
-                .and_then(crate::json::JsonValue::as_u64),
-            Some(42)
-        );
-        reset();
-    }
-
-    #[test]
-    fn enable_toggle_is_runtime() {
-        let was = enabled();
-        set_enabled(true);
-        assert!(enabled());
-        set_enabled(false);
-        assert!(!enabled());
-        set_enabled(was);
+            .and_then(JsonValue::as_array)
+            .expect("stacks array");
+        assert_eq!(stacks.len(), spans.len());
+        for (stack, span) in stacks.iter().zip(&spans) {
+            let field = |key: &str| stack.get(key).and_then(JsonValue::as_u64);
+            assert_eq!(
+                stack.get("stack").and_then(JsonValue::as_str),
+                Some(span.path.as_str())
+            );
+            assert_eq!(field("count"), Some(span.count), "count of {}", span.path);
+            assert_eq!(
+                field("wall_ns"),
+                Some(span.total_ns),
+                "wall_ns of {}",
+                span.path
+            );
+            assert_eq!(
+                field("self_ns"),
+                Some(want_self(&span.path)),
+                "self_ns of {}",
+                span.path
+            );
+        }
+        let collapsed = render_collapsed(&spans);
+        for span in &spans {
+            let line = format!(
+                "{} {}\n",
+                span.path.replace('/', ";"),
+                want_self(&span.path)
+            );
+            assert!(
+                collapsed.contains(&line),
+                "missing `{line}` in:\n{collapsed}"
+            );
+        }
     }
 }

@@ -260,6 +260,7 @@ impl Registry {
                         total_ns: s.total_ns(),
                         min_ns: s.min_ns(),
                         max_ns: s.max_ns(),
+                        alloc_bytes: s.alloc_bytes(),
                     }),
                     Metric::CounterFamily(f) => counter_families.push(CounterFamilyEntry {
                         name: name.clone(),
@@ -310,6 +311,9 @@ pub struct SpanEntry {
     pub min_ns: u64,
     /// Longest span.
     pub max_ns: u64,
+    /// Heap bytes allocated on the span's own thread while it was open,
+    /// children included (0 unless allocation attribution was active).
+    pub alloc_bytes: u64,
 }
 
 /// One histogram in a snapshot.
@@ -411,7 +415,7 @@ mod tests {
         r.counter("test.snap.a").add(1);
         r.gauge("test.snap.g").set(-4);
         r.histogram("test.snap.h").record(100);
-        r.span_stat("test.snap/span").record(50);
+        r.span_stat("test.snap/span").record(50, 0);
         r.register_cache("test.snap.cache", || CacheCounters {
             hits: 9,
             misses: 1,

@@ -145,12 +145,13 @@ impl Snapshot {
             let sep = if i == 0 { "" } else { "," };
             let _ = write!(
                 out,
-                "{sep}\n    \"{}\": {{ \"count\": {}, \"total_ns\": {}, \"min_ns\": {}, \"max_ns\": {} }}",
+                "{sep}\n    \"{}\": {{ \"count\": {}, \"total_ns\": {}, \"min_ns\": {}, \"max_ns\": {}, \"alloc_bytes\": {} }}",
                 escape(&s.path),
                 s.count,
                 s.total_ns,
                 s.min_ns,
-                s.max_ns
+                s.max_ns,
+                s.alloc_bytes
             );
         }
         out.push_str("\n  },\n  \"counters\": {");
@@ -252,7 +253,9 @@ impl Snapshot {
     }
 
     /// Renders a Prometheus-style text exposition (counters, gauges, span
-    /// and histogram aggregates, cache counters).
+    /// and histogram aggregates, cache counters). Every series is
+    /// cumulative, so rates come from Prometheus' `rate()` (or from the
+    /// embedded TSDB's `.rate` series).
     #[must_use]
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
@@ -267,13 +270,15 @@ impl Snapshot {
         if !self.spans.is_empty() {
             out.push_str("# TYPE svt_span_count_total counter\n");
             out.push_str("# TYPE svt_span_total_ns counter\n");
+            out.push_str("# TYPE svt_span_alloc_bytes counter\n");
             for s in &self.spans {
                 let _ = writeln!(
                     out,
-                    "svt_span_count_total{{span=\"{0}\"}} {1}\nsvt_span_total_ns{{span=\"{0}\"}} {2}",
+                    "svt_span_count_total{{span=\"{0}\"}} {1}\nsvt_span_total_ns{{span=\"{0}\"}} {2}\nsvt_span_alloc_bytes{{span=\"{0}\"}} {3}",
                     escape(&s.path),
                     s.count,
-                    s.total_ns
+                    s.total_ns,
+                    s.alloc_bytes
                 );
             }
         }
@@ -320,88 +325,6 @@ impl Snapshot {
                     out,
                     "svt_cache_hits_total{{cache=\"{n}\"}} {}\nsvt_cache_misses_total{{cache=\"{n}\"}} {}\nsvt_cache_inserts_total{{cache=\"{n}\"}} {}\nsvt_cache_evictions_total{{cache=\"{n}\"}} {}\nsvt_cache_entries{{cache=\"{n}\"}} {}",
                     c.hits, c.misses, c.inserts, c.evictions, c.entries
-                );
-            }
-        }
-        out
-    }
-
-    /// Renders the per-interval view of this snapshot against an earlier
-    /// one as Prometheus gauges: for every counter-like series, the delta
-    /// since `prev` and the per-second rate over `seconds`. Served by
-    /// `svtd`'s `/metrics` endpoint alongside [`Snapshot::to_prometheus`]
-    /// so dashboards get rates without PromQL.
-    ///
-    /// Series absent from `prev` (first scrape, freshly created metrics)
-    /// are treated as starting from zero; a non-positive `seconds` yields
-    /// zero rates.
-    #[must_use]
-    pub fn delta_prometheus(&self, prev: &Snapshot, seconds: f64) -> String {
-        #[allow(clippy::cast_precision_loss)]
-        fn rate(delta: u64, seconds: f64) -> f64 {
-            if seconds > 0.0 {
-                delta as f64 / seconds
-            } else {
-                0.0
-            }
-        }
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "# TYPE svt_scrape_interval_seconds gauge\nsvt_scrape_interval_seconds {seconds}"
-        );
-        for (name, v) in &self.counters {
-            let before = prev
-                .counters
-                .iter()
-                .find(|(n, _)| n == name)
-                .map_or(0, |(_, p)| *p);
-            let delta = v.saturating_sub(before);
-            let n = prom_name(name);
-            let _ = writeln!(
-                out,
-                "# TYPE svt_{n}_delta gauge\nsvt_{n}_delta {delta}\n# TYPE svt_{n}_rate gauge\nsvt_{n}_rate {}",
-                rate(delta, seconds)
-            );
-        }
-        if !self.spans.is_empty() {
-            out.push_str("# TYPE svt_span_count_delta gauge\n");
-            out.push_str("# TYPE svt_span_count_rate gauge\n");
-            out.push_str("# TYPE svt_span_busy_ratio gauge\n");
-            for s in &self.spans {
-                let before = prev.spans.iter().find(|p| p.path == s.path);
-                let d_count = s.count.saturating_sub(before.map_or(0, |p| p.count));
-                let d_ns = s.total_ns.saturating_sub(before.map_or(0, |p| p.total_ns));
-                // Fraction of the scrape interval spent inside this span
-                // (can exceed 1 when several threads run it concurrently).
-                let busy = rate(d_ns, seconds) / 1e9;
-                let _ = writeln!(
-                    out,
-                    "svt_span_count_delta{{span=\"{0}\"}} {1}\nsvt_span_count_rate{{span=\"{0}\"}} {2}\nsvt_span_busy_ratio{{span=\"{0}\"}} {3}",
-                    escape(&s.path),
-                    d_count,
-                    rate(d_count, seconds),
-                    busy
-                );
-            }
-        }
-        if !self.caches.is_empty() {
-            out.push_str("# TYPE svt_cache_hits_delta gauge\n");
-            out.push_str("# TYPE svt_cache_hits_rate gauge\n");
-            out.push_str("# TYPE svt_cache_misses_delta gauge\n");
-            out.push_str("# TYPE svt_cache_misses_rate gauge\n");
-            for (name, c) in &self.caches {
-                let before = prev.caches.iter().find(|(n, _)| n == name).map(|(_, p)| p);
-                let d_hits = c.hits.saturating_sub(before.map_or(0, |p| p.hits));
-                let d_misses = c.misses.saturating_sub(before.map_or(0, |p| p.misses));
-                let _ = writeln!(
-                    out,
-                    "svt_cache_hits_delta{{cache=\"{0}\"}} {1}\nsvt_cache_hits_rate{{cache=\"{0}\"}} {2}\nsvt_cache_misses_delta{{cache=\"{0}\"}} {3}\nsvt_cache_misses_rate{{cache=\"{0}\"}} {4}",
-                    escape(name),
-                    d_hits,
-                    rate(d_hits, seconds),
-                    d_misses,
-                    rate(d_misses, seconds)
                 );
             }
         }
@@ -580,6 +503,7 @@ mod tests {
                     total_ns: 2_500_000,
                     min_ns: 2_500_000,
                     max_ns: 2_500_000,
+                    alloc_bytes: 4096,
                 },
                 SpanEntry {
                     path: "flow/corner".into(),
@@ -587,6 +511,7 @@ mod tests {
                     total_ns: 1_500_000,
                     min_ns: 400_000,
                     max_ns: 600_000,
+                    alloc_bytes: 1024,
                 },
             ],
             counters: vec![("exec.pool.tasks".into(), 42)],
@@ -656,6 +581,7 @@ mod tests {
         snap.counters.sort();
         let json = snap.to_json();
         assert!(json.contains("\"flow/corner\": { \"count\": 3"));
+        assert!(json.contains("\"max_ns\": 600000, \"alloc_bytes\": 1024 }"));
         assert!(json.contains("\"exec.pool.tasks\": 42"));
         assert!(json.contains("weird\\\"name"));
         assert!(json.contains("\"buckets\": [[1024, 42]]"));
@@ -673,6 +599,7 @@ mod tests {
         assert!(text.contains("# TYPE svt_exec_pool_tasks_total counter"));
         assert!(text.contains("svt_exec_pool_tasks_total 42"));
         assert!(text.contains("svt_span_total_ns{span=\"flow/corner\"} 1500000"));
+        assert!(text.contains("svt_span_alloc_bytes{span=\"flow/corner\"} 1024"));
         assert!(text.contains("svt_cache_hits_total{cache=\"litho.cd\"} 90"));
         assert!(text.contains("svt_cache_entries{cache=\"litho.cd\"} 10"));
     }
@@ -833,6 +760,7 @@ mod tests {
                 total_ns: 50,
                 min_ns: 10,
                 max_ns: 10,
+                alloc_bytes: 0,
             });
             snap.spans.sort_by(|a, b| a.path.cmp(&b.path));
             let text = snap.to_prometheus();
@@ -844,58 +772,6 @@ mod tests {
             assert!(got.is_some(), "label {odd:?} did not round-trip:\n{text}");
             assert_eq!(got.unwrap().value, 5.0);
         }
-    }
-
-    #[test]
-    fn delta_exposition_subtracts_and_rates() {
-        let prev = sample();
-        let mut cur = sample();
-        cur.counters[0].1 += 10; // 42 -> 52 over 2 s
-        cur.spans[1].count += 4; // flow/corner 3 -> 7
-        cur.spans[1].total_ns += 1_000_000_000; // +1 s busy over 2 s
-        cur.caches[0].1.hits += 20;
-        let text = cur.delta_prometheus(&prev, 2.0);
-        let samples = parse_prometheus(&text).expect("delta exposition parses");
-        let find = |name: &str, label: Option<(&str, &str)>| {
-            samples
-                .iter()
-                .find(|s| s.name == name && label.is_none_or(|(k, v)| s.label(k) == Some(v)))
-                .unwrap_or_else(|| panic!("missing {name} {label:?} in:\n{text}"))
-        };
-        assert_eq!(find("svt_scrape_interval_seconds", None).value, 2.0);
-        assert_eq!(find("svt_exec_pool_tasks_delta", None).value, 10.0);
-        assert_eq!(find("svt_exec_pool_tasks_rate", None).value, 5.0);
-        assert_eq!(
-            find("svt_span_count_delta", Some(("span", "flow/corner"))).value,
-            4.0
-        );
-        assert_eq!(
-            find("svt_span_count_rate", Some(("span", "flow/corner"))).value,
-            2.0
-        );
-        assert!(
-            (find("svt_span_busy_ratio", Some(("span", "flow/corner"))).value - 0.5).abs() < 1e-12
-        );
-        assert_eq!(
-            find("svt_cache_hits_delta", Some(("cache", "litho.cd"))).value,
-            20.0
-        );
-        assert_eq!(
-            find("svt_cache_hits_rate", Some(("cache", "litho.cd"))).value,
-            10.0
-        );
-        // A series absent from `prev` counts from zero; zero interval
-        // yields zero rates rather than dividing by zero.
-        let fresh = Snapshot {
-            counters: vec![("new.counter".into(), 9)],
-            ..Snapshot::default()
-        };
-        let empty = Snapshot::default();
-        let text = fresh.delta_prometheus(&empty, 0.0);
-        let samples = parse_prometheus(&text).expect("fresh delta parses");
-        let get = |name: &str| samples.iter().find(|s| s.name == name).unwrap().value;
-        assert_eq!(get("svt_new_counter_delta"), 9.0);
-        assert_eq!(get("svt_new_counter_rate"), 0.0);
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //! Ingest and query take one mutex on the series map — both run on
 //! sampler/scrape cadence, never on the request hot path.
 //!
-//! Tier geometry is configurable (`SVT_TSDB_TIERS=width_ms:cap,...`,
-//! width 0 = raw) so tests and CI smoke runs can exercise multi-tier
-//! behaviour in milliseconds instead of minutes.
+//! Tier geometry is a [`TsdbConfig`]: the process-global store uses the
+//! default tiers, and tests build small configurations directly to
+//! exercise multi-tier behaviour in milliseconds instead of minutes.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -130,38 +130,6 @@ impl Default for TsdbConfig {
                 },
             ],
         }
-    }
-}
-
-impl TsdbConfig {
-    /// Parses `SVT_TSDB_TIERS` (`width_ms:cap,width_ms:cap,...`,
-    /// width 0 = raw), falling back to [`TsdbConfig::default`] when the
-    /// variable is unset or malformed — a bad override must never take
-    /// the daemon down.
-    #[must_use]
-    pub fn from_env() -> TsdbConfig {
-        let Ok(raw) = std::env::var("SVT_TSDB_TIERS") else {
-            return TsdbConfig::default();
-        };
-        let mut tiers = Vec::new();
-        for part in raw.split(',') {
-            let Some((w, c)) = part.trim().split_once(':') else {
-                return TsdbConfig::default();
-            };
-            let (Ok(width_ms), Ok(cap)) = (w.trim().parse::<u64>(), c.trim().parse::<usize>())
-            else {
-                return TsdbConfig::default();
-            };
-            if cap == 0 {
-                return TsdbConfig::default();
-            }
-            tiers.push(TierSpec { width_ms, cap });
-        }
-        if tiers.is_empty() {
-            return TsdbConfig::default();
-        }
-        tiers.sort_by_key(|t| t.width_ms);
-        TsdbConfig { tiers }
     }
 }
 
@@ -430,12 +398,12 @@ impl Tsdb {
     }
 }
 
-/// The process-global store, configured from `SVT_TSDB_TIERS` on first
-/// touch. `svtd`'s sampler writes here and `/query`, `/dashboard`, and
+/// The process-global store, with the [`TsdbConfig::default`] tiers.
+/// `svtd`'s sampler writes here and `/query`, `/dashboard`, and
 /// `/healthz` read it.
 pub fn global() -> &'static Tsdb {
     static GLOBAL: OnceLock<Tsdb> = OnceLock::new();
-    GLOBAL.get_or_init(|| Tsdb::new(TsdbConfig::from_env()))
+    GLOBAL.get_or_init(|| Tsdb::new(TsdbConfig::default()))
 }
 
 /// Milliseconds since the unix epoch (wall clock — the query time axis).
@@ -706,29 +674,6 @@ mod tests {
             2 * 20 * std::mem::size_of::<Point>() as u64
         );
         assert!(occ.tiers.iter().all(|(_, _, len)| *len == 2));
-    }
-
-    #[test]
-    fn config_env_parsing_is_total() {
-        std::env::set_var("SVT_TSDB_TIERS", "0:16,250:8");
-        let cfg = TsdbConfig::from_env();
-        assert_eq!(
-            cfg.tiers,
-            vec![
-                TierSpec {
-                    width_ms: 0,
-                    cap: 16
-                },
-                TierSpec {
-                    width_ms: 250,
-                    cap: 8
-                },
-            ]
-        );
-        std::env::set_var("SVT_TSDB_TIERS", "garbage");
-        assert_eq!(TsdbConfig::from_env(), TsdbConfig::default());
-        std::env::remove_var("SVT_TSDB_TIERS");
-        assert_eq!(TsdbConfig::from_env(), TsdbConfig::default());
     }
 
     #[test]

@@ -35,11 +35,12 @@
 //! The daemon always runs the long-horizon observability plane: a
 //! sampler thread scrapes the metric registry every `--sample-ms`
 //! (default 1000) into the embedded tiered time-series store behind
-//! `GET /query` and `GET /dashboard`, and the continuous profiler
-//! aggregates every span into the flame graph at
-//! `GET /debug/profile?format=collapsed|json|svg`. `--slo` declares
-//! burn-rate objectives evaluated from those rings each tick; a breach
-//! degrades `/healthz` to 503 and triggers the post-mortem dump.
+//! `GET /query` and `GET /dashboard`, and
+//! `GET /debug/profile?format=collapsed|json|svg` renders the span
+//! registry — each path's time and the bytes its thread allocated — as
+//! a flame graph. `--slo` declares burn-rate objectives evaluated from
+//! those rings each tick; a breach degrades `/healthz` to 503 and
+//! triggers the post-mortem dump.
 //!
 //! Smoke mode: a pure-Rust client that runs the CI smoke sequence
 //! against an already-running fresh daemon and exits non-zero on the
@@ -51,7 +52,7 @@
 //! booted with `--slow-ms 0` so every smoke request leaves a capsule):
 //!
 //! `--smoke-obs` adds the long-horizon observability walk (dashboard,
-//! profiler formats, `/query` tier population); `--smoke-slo` runs the
+//! profile formats, `/query` tier population and rate); `--smoke-slo` runs the
 //! deliberate SLO-breach scenario *instead of* the regular walk
 //! (requires a daemon booted with an unmeetable `--slo`):
 //!
@@ -67,8 +68,9 @@ use svt_obs::alloc::CountingAlloc;
 use svt_serve::server::{DesignSpec, Server, ServerOptions, ServiceState};
 use svt_serve::smoke::{run_smoke_full, run_smoke_slo, SmokeOptions};
 
-// Attribute every allocation in the daemon to the innermost active
-// span; the hook is inert until `alloc::set_active(true)` below.
+// Count every allocation in the daemon, per thread, so each span
+// records the bytes allocated while it was open; the hook is inert
+// until `alloc::set_active(true)` below.
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::system();
 
@@ -265,17 +267,13 @@ fn main() -> ExitCode {
         };
     }
 
-    // A daemon wants the live timeline on by default so /timeline.json
-    // has content; an explicit SVT_TRACE still wins.
+    // A daemon wants span recording and the live timeline on by default
+    // so /timeline.json and /debug/profile have content; an explicit
+    // SVT_TRACE still wins.
     if std::env::var_os("SVT_TRACE").is_none() {
         svt_obs::set_mode(svt_obs::TraceMode::Chrome);
     }
     svt_obs::alloc::set_active(true);
-    // The daemon keeps the continuous profiler on so /debug/profile
-    // always has stacks; an explicit SVT_PROFILE=0 still wins.
-    if std::env::var_os(svt_obs::profile::PROFILE_ENV).is_none() {
-        svt_obs::profile::set_enabled(true);
-    }
     if args.watchdog_ms > 0 {
         svt_exec::watchdog::arm(Duration::from_millis(args.watchdog_ms));
     }

@@ -16,9 +16,12 @@
 //! | Endpoint          | Serves |
 //! |-------------------|--------|
 //! | `GET /healthz`    | readiness, per-design warmth, queue depth, and the pool watchdog verdict (`503` when stalled) |
-//! | `GET /metrics`    | Prometheus exposition of the global registry (labeled families, build info), plus per-interval `_delta`/`_rate` series keyed per scraper identity (`?scraper=NAME` or peer IP, bounded LRU) |
+//! | `GET /metrics`    | cumulative Prometheus exposition of the global registry (labeled families, per-span time and allocated bytes, build info); rates come from Prometheus `rate()` or `GET /query` |
 //! | `GET /snapshot.json` | the full aggregate [`svt_obs::Snapshot`] as JSON |
 //! | `GET /timeline.json` | the live per-thread event rings as a Chrome `trace_event` document |
+//! | `GET /query?metric=NAME[&range=S][&step=S]` | a range query against the embedded time-series store, including derived `NAME.rate` series (`400` names a malformed parameter) |
+//! | `GET /dashboard`  | a self-contained HTML page of sparklines over the time-series store |
+//! | `GET /debug/profile?format=collapsed\|json\|svg` | the span registry as folded stacks, JSON, or a flame-graph SVG (`503` while `SVT_TRACE` is off) |
 //! | `GET /designs`    | every registered design with warmth and edit count |
 //! | `GET /designs/{name}` | one design's status |
 //! | `POST /designs/{name}/warm` | eager warm-up (lazy otherwise) |
@@ -60,9 +63,8 @@ pub use http::{
 pub use registry::{DesignEntry, RegistryError, SessionRegistry, SlotStatus};
 pub use server::{
     configure_snapshot, parse_eco_request, parse_edit, render_batch_report, render_delta_report,
-    render_timing, route, route_with_peer, save_snapshot, snapshot_info_prometheus,
-    snapshot_status, warm_session, DesignSpec, EcoRequest, Server, ServerOptions, ServiceState,
-    SnapshotStatus, BUILTIN_NETLIST, SCRAPE_LRU_CAPACITY,
+    render_timing, route, save_snapshot, snapshot_info_prometheus, snapshot_status, warm_session,
+    DesignSpec, EcoRequest, Server, ServerOptions, ServiceState, SnapshotStatus, BUILTIN_NETLIST,
 };
 pub use slo::{SloEngine, SloSpec, SloStatus};
 pub use smoke::{pick_smoke_edit, run_smoke};

@@ -328,29 +328,14 @@ impl Default for ServerOptions {
     }
 }
 
-/// Most scraper identities whose previous-scrape snapshots are
-/// retained for per-interval delta series; the least recently seen
-/// scraper is evicted beyond this.
-pub const SCRAPE_LRU_CAPACITY: usize = 8;
-
-/// Shared state behind the router: the design registry plus the
-/// previous scrape per scraper identity, used to derive per-interval
-/// rate/delta series.
-///
-/// Keying the delta state per scraper matters: with one global slot,
-/// two Prometheus instances scraping concurrently would each see
-/// deltas against the *other's* last scrape — intervals halve and
-/// series jitter. Identity is the `?scraper=NAME` query parameter when
-/// present, else the peer IP, else `default`; the map is a bounded LRU
-/// ([`SCRAPE_LRU_CAPACITY`]) so an open endpoint cannot grow state
-/// unboundedly.
+/// Shared state behind the router: the design registry, the drain
+/// flag, the access log, and the SLO engine.
 pub struct ServiceState {
     registry: SessionRegistry,
     default_design: String,
     started: Instant,
     draining: AtomicBool,
     options: ServerOptions,
-    scrapes: Mutex<Vec<(String, Instant, svt_obs::Snapshot)>>,
     access_log: Option<AccessLog>,
     slo: crate::slo::SloEngine,
 }
@@ -385,7 +370,6 @@ impl ServiceState {
             started: Instant::now(),
             draining: AtomicBool::new(false),
             options,
-            scrapes: Mutex::new(Vec::new()),
             access_log,
             slo,
         })
@@ -749,45 +733,18 @@ fn healthz(state: &ServiceState) -> Response {
     }
 }
 
-/// Which delta-state slot a `/metrics` request addresses: the
-/// `?scraper=NAME` query parameter when present, else the peer IP, else
-/// `default`. Two concurrent scrapers with distinct identities get
-/// independent previous-scrape snapshots and therefore correct
-/// per-interval deltas.
-fn scraper_identity(req_path: &str, peer: Option<&str>) -> String {
-    if let Some((_, query)) = req_path.split_once('?') {
-        for pair in query.split('&') {
-            if let Some(name) = pair.strip_prefix("scraper=") {
-                if !name.is_empty() {
-                    return name.to_string();
-                }
-            }
-        }
-    }
-    peer.map_or_else(|| "default".to_string(), str::to_string)
-}
-
-fn metrics(state: &ServiceState, scraper: &str) -> Response {
+/// `GET /metrics`: the cumulative Prometheus exposition. Rates come
+/// from Prometheus' `rate()` over these counters, or from the embedded
+/// TSDB's `.rate` series at `GET /query`.
+fn metrics(state: &ServiceState) -> Response {
     // Refresh the pull-style sources right before snapshotting so the
     // scrape reflects this instant, not the last request.
     svt_obs::alloc::publish_gauges();
     svt_obs::rss::publish_gauges();
-    let now = Instant::now();
-    let snap = svt_obs::registry().snapshot();
     let mut body = svt_obs::build_info_prometheus(state.started.elapsed().as_secs_f64());
     body.push_str(&snapshot_info_prometheus());
     body.push_str(&state.slo.to_prometheus());
-    body.push_str(&snap.to_prometheus());
-    let mut scrapes = state.scrapes.lock().expect("scrape slots poisoned");
-    if let Some(pos) = scrapes.iter().position(|(id, _, _)| id == scraper) {
-        let (_, prev_at, prev) = scrapes.remove(pos);
-        body.push_str(&snap.delta_prometheus(&prev, now.duration_since(prev_at).as_secs_f64()));
-    } else if scrapes.len() >= SCRAPE_LRU_CAPACITY {
-        // Front is least recently seen: entries re-push on every scrape.
-        scrapes.remove(0);
-        svt_obs::counter!("serve.scrape_evictions").incr();
-    }
-    scrapes.push((scraper.to_string(), now, snap));
+    body.push_str(&svt_obs::registry().snapshot().to_prometheus());
     Response {
         status: 200,
         content_type: "text/plain; version=0.0.4; charset=utf-8",
@@ -1047,6 +1004,21 @@ fn query_param(req_path: &str, key: &str) -> Option<String> {
     None
 }
 
+/// An optional whole-seconds query parameter: `default` when absent, a
+/// `400` naming the parameter when present but not a non-negative
+/// integer.
+fn seconds_param(req_path: &str, key: &str, default: u64) -> Result<u64, Response> {
+    match query_param(req_path, key) {
+        None => Ok(default),
+        Some(v) => v.parse::<u64>().map_err(|_| {
+            Response::error(
+                400,
+                &format!("`{key}` must be a whole number of seconds, got `{v}`"),
+            )
+        }),
+    }
+}
+
 /// `GET /query?metric=NAME[&range=SECS][&step=SECS]`: a range query
 /// against the embedded TSDB. `range` defaults to 300 s; `step=0` (the
 /// default) returns the answering tier's native resolution.
@@ -1054,12 +1026,14 @@ fn tsdb_query(req_path: &str) -> Response {
     let Some(metric) = query_param(req_path, "metric") else {
         return Response::error(400, "missing ?metric= parameter");
     };
-    let range_s = query_param(req_path, "range")
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(300);
-    let step_s = query_param(req_path, "step")
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(0);
+    let range_s = match seconds_param(req_path, "range", 300) {
+        Ok(v) => v,
+        Err(bad) => return bad,
+    };
+    let step_s = match seconds_param(req_path, "step", 0) {
+        Ok(v) => v,
+        Err(bad) => return bad,
+    };
     let store = svt_obs::tsdb::global();
     match store.query(
         &metric,
@@ -1078,30 +1052,31 @@ fn tsdb_query(req_path: &str) -> Response {
     }
 }
 
-/// `GET /debug/profile?format=collapsed|json|svg`: the continuous
-/// profiler's aggregated stacks, as folded text (default), JSON, or a
-/// self-contained flame-graph SVG.
+/// `GET /debug/profile?format=collapsed|json|svg`: the span registry's
+/// aggregates read as a profile — folded stacks (default), JSON, or a
+/// self-contained flame-graph SVG. Spans record only while `SVT_TRACE`
+/// is on; `svtd` defaults it to `chrome`.
 fn debug_profile(req_path: &str) -> Response {
     let format = query_param(req_path, "format").unwrap_or_else(|| "collapsed".to_string());
-    if !svt_obs::profile::enabled() {
+    if !svt_obs::enabled() {
         return Response::error(
             503,
-            "profiler disabled (set SVT_PROFILE=1 or run under svtd, which enables it)",
+            "span recording is off (set SVT_TRACE=summary or chrome; svtd defaults to chrome)",
         );
     }
-    let entries = svt_obs::profile::snapshot();
+    let spans = svt_obs::registry().snapshot().spans;
     match format.as_str() {
         "collapsed" => Response {
             status: 200,
             content_type: "text/plain; charset=utf-8",
-            body: svt_obs::profile::render_collapsed(&entries),
+            body: svt_obs::profile::render_collapsed(&spans),
             retry_after: None,
         },
-        "json" => Response::json(svt_obs::profile::to_json(&entries)),
+        "json" => Response::json(svt_obs::profile::to_json(&spans)),
         "svg" => Response {
             status: 200,
             content_type: "image/svg+xml",
-            body: svt_obs::profile::render_flame_svg(&entries),
+            body: svt_obs::profile::render_flame_svg(&spans),
             retry_after: None,
         },
         other => Response::error(
@@ -1356,10 +1331,10 @@ fn classify(state: &ServiceState, method: &str, path: &str) -> (&'static str, St
 }
 
 /// The undecorated dispatch: maps one request to its endpoint handler.
-fn dispatch(state: &ServiceState, req: &Request, path: &str, peer: Option<&str>) -> Response {
+fn dispatch(state: &ServiceState, req: &Request, path: &str) -> Response {
     match (req.method.as_str(), path) {
         ("GET", "/healthz") => healthz(state),
-        ("GET", "/metrics") => metrics(state, &scraper_identity(&req.path, peer)),
+        ("GET", "/metrics") => metrics(state),
         ("GET", "/snapshot.json") => Response::json(svt_obs::registry().snapshot().to_json()),
         ("GET", "/timeline.json") => Response::json(svt_obs::chrome::render_chrome_trace(
             &svt_obs::timeline::snapshot_all(),
@@ -1410,14 +1385,8 @@ fn dispatch(state: &ServiceState, req: &Request, path: &str, peer: Option<&str>)
 
 /// Routes one request. Pure with respect to the connection: all I/O
 /// stays in the caller, which keeps every endpoint unit-testable without
-/// sockets. Equivalent to [`route_with_peer`] with no peer identity.
-#[must_use]
-pub fn route(state: &ServiceState, req: &Request) -> Response {
-    route_with_peer(state, req, None)
-}
-
-/// [`route`] with the connection's peer IP, and the full per-request
-/// observability decoration around the dispatch:
+/// sockets. Wraps the dispatch in the full per-request observability
+/// decoration:
 ///
 /// 1. a fresh [`svt_obs::RequestContext`] (monotonic trace id, route
 ///    class, design) entered for the handler's duration, so every span,
@@ -1431,7 +1400,7 @@ pub fn route(state: &ServiceState, req: &Request) -> Response {
 ///    request window, alloc delta, queue wait) when latency reaches
 ///    [`ServerOptions::slow_ms`].
 #[must_use]
-pub fn route_with_peer(state: &ServiceState, req: &Request, peer: Option<&str>) -> Response {
+pub fn route(state: &ServiceState, req: &Request) -> Response {
     svt_obs::registry().counter("serve.requests").incr();
     let path = req.path.split('?').next().unwrap_or("");
     let _inflight = inflight_guard(&req.method, path);
@@ -1447,7 +1416,7 @@ pub fn route_with_peer(state: &ServiceState, req: &Request, peer: Option<&str>) 
     let (alloc_count_0, alloc_bytes_0) = svt_obs::alloc::totals();
     let response = {
         let _span = svt_obs::span("serve.request");
-        dispatch(state, req, path, peer)
+        dispatch(state, req, path)
     };
     let latency = started.elapsed();
     let latency_ns = latency.as_nanos() as u64;
@@ -1533,7 +1502,6 @@ fn status_class(status: u16) -> &'static str {
 /// to drain within one poll tick.
 fn serve_connection(mut stream: TcpStream, state: &ServiceState) {
     let opts = state.options();
-    let peer = stream.peer_addr().ok().map(|a| a.ip().to_string());
     // Poll in short ticks so drains are noticed promptly even while the
     // connection idles between keep-alive requests.
     let tick = opts
@@ -1564,7 +1532,7 @@ fn serve_connection(mut stream: TcpStream, state: &ServiceState) {
                     // Heartbeat only the bounded handler section — idle
                     // keep-alive reads are not stalls.
                     svt_exec::watchdog::task_begin();
-                    let response = route_with_peer(state, &req, peer.as_deref());
+                    let response = route(state, &req);
                     svt_exec::watchdog::task_end();
                     response
                 };
@@ -1873,18 +1841,6 @@ mod tests {
     }
 
     #[test]
-    fn scraper_identity_prefers_query_param_then_peer() {
-        assert_eq!(
-            scraper_identity("/metrics?scraper=prom-a", Some("10.0.0.9")),
-            "prom-a"
-        );
-        assert_eq!(scraper_identity("/metrics?other=1&scraper=b", None), "b");
-        assert_eq!(scraper_identity("/metrics", Some("10.0.0.9")), "10.0.0.9");
-        assert_eq!(scraper_identity("/metrics?scraper=", None), "default");
-        assert_eq!(scraper_identity("/metrics", None), "default");
-    }
-
-    #[test]
     fn routes_classify_into_bounded_templates() {
         let state = test_state(ServerOptions::default());
         assert_eq!(classify(&state, "GET", "/healthz").0, "/healthz");
@@ -1919,66 +1875,37 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_scrapers_keep_independent_delta_state() {
-        let state = test_state(ServerOptions::default());
-        let probe = svt_obs::registry().counter("serve.scrape_lru_probe");
-        // A's first scrape seeds its slot; B interleaves with its own.
-        let _ = metrics(&state, "prom-a");
-        probe.add(5);
-        let _ = metrics(&state, "prom-b");
-        probe.add(3);
-        // A's second scrape must delta against A's previous snapshot —
-        // +8 total since A1 — unperturbed by B's scrape in between (the
-        // old single-slot design would have reported only +3 here).
-        let body = metrics(&state, "prom-a").body;
-        let samples = svt_obs::parse_prometheus(&body).expect("scrape parses");
-        let delta = samples
-            .iter()
-            .find(|s| s.name == "svt_serve_scrape_lru_probe_delta")
-            .expect("delta series for the probe counter");
-        assert_eq!(delta.value as u64, 8, "A deltas against A's own slot");
-        // And B deltas only what happened since B's own scrape.
-        let body = metrics(&state, "prom-b").body;
-        let samples = svt_obs::parse_prometheus(&body).expect("scrape parses");
-        let delta = samples
-            .iter()
-            .find(|s| s.name == "svt_serve_scrape_lru_probe_delta")
-            .expect("delta series for the probe counter");
-        assert_eq!(delta.value as u64, 3, "B deltas against B's own slot");
+    fn query_rejects_malformed_range_and_step_by_name() {
+        for (path, param) in [
+            ("/query?metric=serve.requests&range=abc", "`range`"),
+            ("/query?metric=serve.requests&range=-5", "`range`"),
+            ("/query?metric=serve.requests&step=1.5", "`step`"),
+            ("/query?metric=no.such.series&step=x", "`step`"),
+        ] {
+            let response = tsdb_query(path);
+            assert_eq!(response.status, 400, "{path}: {}", response.body);
+            assert!(response.body.contains(param), "{path}: {}", response.body);
+        }
+        assert_eq!(tsdb_query("/query?range=60").status, 400, "metric missing");
+        assert_eq!(
+            tsdb_query("/query?metric=no.such.series&range=60&step=0").status,
+            404,
+            "well-formed parameters reach the store"
+        );
     }
 
     #[test]
-    fn scrape_lru_evicts_the_least_recent_scraper() {
-        let state = test_state(ServerOptions::default());
-        let _ = metrics(&state, "evict-me");
-        for i in 0..SCRAPE_LRU_CAPACITY {
-            let _ = metrics(&state, &format!("filler-{i}"));
-        }
-        // A retained filler still deltas normally.
-        let body = metrics(&state, "filler-0").body;
-        let samples = svt_obs::parse_prometheus(&body).expect("scrape parses");
-        assert!(
-            samples
-                .iter()
-                .any(|s| s.name == "svt_scrape_interval_seconds"),
-            "retained scraper keeps its delta state"
-        );
-        // `evict-me` fell out of the LRU, so its re-scrape is a first
-        // scrape again: no interval/delta series.
-        let body = metrics(&state, "evict-me").body;
-        let samples = svt_obs::parse_prometheus(&body).expect("scrape parses");
-        assert!(
-            !samples
-                .iter()
-                .any(|s| s.name == "svt_scrape_interval_seconds"),
-            "evicted scraper must be treated as new"
-        );
+    fn profile_without_span_recording_is_a_503_naming_svt_trace() {
+        svt_obs::set_mode(svt_obs::TraceMode::Off);
+        let response = debug_profile("/debug/profile?format=svg");
+        assert_eq!(response.status, 503);
+        assert!(response.body.contains("SVT_TRACE"), "{}", response.body);
     }
 
     #[test]
     fn metrics_exposition_carries_build_info_and_uptime() {
         let state = test_state(ServerOptions::default());
-        let body = metrics(&state, "build-info-probe").body;
+        let body = metrics(&state).body;
         let samples = svt_obs::parse_prometheus(&body).expect("scrape parses");
         let build = samples
             .iter()

@@ -30,7 +30,17 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use svt_obs::json::escape_json;
-use svt_obs::tsdb::Tsdb;
+use svt_obs::tsdb::{Tsdb, TsdbConfig};
+
+/// Longest `window` the embedded store can evaluate: the coarsest
+/// default tier's width times its capacity (288 × 10 min = 172,800 s).
+/// Bounding windows here also keeps `window_s * 1000` in range.
+fn max_window_s() -> u64 {
+    TsdbConfig::default()
+        .tiers
+        .last()
+        .map_or(0, |t| t.width_ms.saturating_mul(t.cap as u64) / 1000)
+}
 
 /// One parsed `--slo` objective.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,7 +67,8 @@ impl SloSpec {
     /// # Errors
     ///
     /// Returns a message naming the offending field for an unknown
-    /// key, an unparseable number, a non-positive bound, or a missing
+    /// key, an unparseable number, a non-positive bound, a window
+    /// longer than the store's coarsest ring holds, or a missing
     /// `route`.
     pub fn parse(s: &str) -> Result<SloSpec, String> {
         let mut route: Option<String> = None;
@@ -100,6 +111,13 @@ impl SloSpec {
         }
         if window_s == 0 {
             return Err(format!("slo spec `{s}`: window must be > 0 seconds"));
+        }
+        let max_window = max_window_s();
+        if window_s > max_window {
+            return Err(format!(
+                "slo spec `{s}`: window must be at most {max_window} seconds \
+                 (the longest history the time-series store keeps)"
+            ));
         }
         Ok(SloSpec {
             route,
@@ -438,7 +456,8 @@ fn burn_over(store: &Tsdb, slug: &str, range_ms: u64, now_ms: u64, budget: f64) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use svt_obs::tsdb::{TierSpec, TsdbConfig};
+    use proptest::prelude::*;
+    use svt_obs::tsdb::TierSpec;
 
     fn test_store() -> Tsdb {
         Tsdb::new(TsdbConfig {
@@ -478,6 +497,19 @@ mod tests {
         assert!(SloSpec::parse("route=/x,p99_ms=abc").is_err());
         assert!(SloSpec::parse("route=/x,latency=5").is_err(), "unknown key");
         assert!(SloSpec::parse("route=/x,window=0").is_err());
+        assert!(
+            SloSpec::parse("route=*,window=18446744073709551615").is_err(),
+            "u64::MAX seconds overflows the millisecond window"
+        );
+        assert!(
+            SloSpec::parse("route=*,window=172801").is_err(),
+            "longer than the coarsest ring holds"
+        );
+        assert_eq!(
+            SloSpec::parse("route=*,window=172800").map(|s| s.window_s),
+            Ok(172_800),
+            "the full 48 h ring is a valid window"
+        );
         assert!(SloSpec::parse("route=/x,err_pct=0").is_err());
         assert!(SloSpec::parse("route").is_err(), "not key=value");
     }
@@ -598,5 +630,87 @@ mod tests {
                 .and_then(svt_obs::json::JsonValue::as_bool),
             Some(false)
         );
+    }
+
+    // Characters of the `--slo` grammar plus a little noise, for the
+    // byte-soup property below.
+    const SPEC_CHARS: &[char] = &[
+        'r', 'o', 'u', 't', 'e', 'p', '9', '_', 'm', 's', 'w', 'i', 'n', 'd', 'a', 'c', '=', ',',
+        '*', '/', '{', '}', '0', '1', '7', '.', '-', '+', ' ', 'é',
+    ];
+    const ROUTES: &[&str] = &["*", "/healthz", "/designs/{name}/eco", "", "/x,y"];
+    const NUMBERS: &[&str] = &[
+        "5", "0.001", "0", "-1", "1e308", "1e309", "nan", "inf", "abc", "",
+    ];
+
+    fn soup() -> impl Strategy<Value = String> {
+        prop::collection::vec(0usize..SPEC_CHARS.len(), 0..60)
+            .prop_map(|idx| idx.into_iter().map(|i| SPEC_CHARS[i]).collect())
+    }
+
+    fn window() -> impl Strategy<Value = u64> {
+        (0u8..3, 0u64..200_000, 0u64..u64::MAX).prop_map(|(pick, near, any)| match pick {
+            0 => near,
+            1 => max_window_s() + near % 3 - 1,
+            _ => any,
+        })
+    }
+
+    /// Well-formed field layouts with hostile values: every key, some
+    /// omitted, windows around and far beyond the ring bound.
+    fn fields() -> impl Strategy<Value = String> {
+        (
+            0usize..ROUTES.len(),
+            prop::option::of(0usize..NUMBERS.len()),
+            prop::option::of(0usize..NUMBERS.len()),
+            prop::option::of(window()),
+        )
+            .prop_map(|(route, p99, err, window)| {
+                let mut spec = format!("route={}", ROUTES[route]);
+                if let Some(i) = p99 {
+                    spec.push_str(&format!(",p99_ms={}", NUMBERS[i]));
+                }
+                if let Some(i) = err {
+                    spec.push_str(&format!(",err_pct={}", NUMBERS[i]));
+                }
+                if let Some(w) = window {
+                    spec.push_str(&format!(",window={w}"));
+                }
+                spec
+            })
+    }
+
+    /// Runs an accepted spec through the sampler path: observe, tick
+    /// twice, render. Any overflow or panic fails the property.
+    fn exercise(spec: &SloSpec) {
+        let store = Tsdb::new(TsdbConfig::default());
+        let mut engine = SloEngine::new(vec![spec.clone()]);
+        engine.set_dump_on_breach(false);
+        let now = 1_700_000_000_000u64;
+        engine.observe(&spec.route, 503, u64::MAX);
+        engine.observe("/elsewhere", 200, 0);
+        engine.tick(&store, now);
+        engine.observe(&spec.route, 200, 1);
+        engine.tick(&store, now + 1_000);
+        let status = &engine.statuses()[0];
+        assert!(status.fast_burn.is_finite() && status.slow_burn.is_finite());
+        assert!(!engine.to_prometheus().is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn parse_never_panics_and_accepted_specs_survive_tick(
+            soup in soup(),
+            fields in fields(),
+        ) {
+            for raw in [&soup, &fields] {
+                if let Ok(spec) = SloSpec::parse(raw) {
+                    prop_assert!(spec.window_s > 0 && spec.window_s <= max_window_s());
+                    exercise(&spec);
+                }
+            }
+        }
     }
 }

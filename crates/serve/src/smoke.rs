@@ -73,10 +73,12 @@ pub struct SmokeOptions {
     /// with `--slow-ms 0` so every smoke request is captured.
     pub recorder: bool,
     /// Walk the long-horizon observability surface: `/dashboard`,
-    /// `/debug/profile` in all three formats, and `/query` answering
-    /// with points in at least two downsample tiers. Requires a daemon
-    /// with a running sampler and the continuous profiler on (`svtd`
-    /// arms both by default).
+    /// `/debug/profile` in all three formats (the `serve.request` stack
+    /// must carry allocated bytes), and `/query` answering with points
+    /// in at least two downsample tiers plus the derived
+    /// `serve.requests.rate` series. Requires a daemon with a running
+    /// sampler, span recording on, and allocation attribution active
+    /// (`svtd` does all three by default).
     pub observability: bool,
 }
 
@@ -165,8 +167,8 @@ fn run_smoke_core(addr: &str, spec: &DesignSpec) -> Result<(String, EcoSession<'
     }
     summary.push_str("healthz: ok\n");
 
-    // 2. First scrape: must parse with the workspace's own parser and
-    // carry the service-plane counters.
+    // 2. Scrape: must parse with the workspace's own parser and carry
+    // the service-plane counters.
     let scrape = get(addr, "/metrics")?;
     let samples = svt_obs::parse_prometheus(&scrape).map_err(|e| format!("/metrics: {e}"))?;
     if samples.is_empty() {
@@ -291,17 +293,6 @@ fn run_smoke_core(addr: &str, spec: &DesignSpec) -> Result<(String, EcoSession<'
         batch.len()
     ));
 
-    // 7. Second scrape: the per-interval delta/rate series appear now
-    // that a previous scrape exists.
-    let scrape = get(addr, "/metrics")?;
-    let samples =
-        svt_obs::parse_prometheus(&scrape).map_err(|e| format!("second /metrics: {e}"))?;
-    for series in ["svt_scrape_interval_seconds", "svt_serve_requests_delta"] {
-        if !samples.iter().any(|s| s.name == series) {
-            return Err(format!("{series} missing from second scrape"));
-        }
-    }
-    summary.push_str("metrics deltas: ok\n");
     summary.push_str("smoke: PASS");
     Ok((summary, mirror))
 }
@@ -530,7 +521,7 @@ fn check_observability(addr: &str) -> Result<String, String> {
     if !dash.starts_with("<!DOCTYPE html") || !dash.contains("long-horizon observability") {
         return Err("GET /dashboard is not the expected HTML document".to_string());
     }
-    // Continuous profiler, all three formats. The smoke traffic above
+    // The span profile, all three formats. The smoke traffic above
     // guarantees serve.request stacks exist.
     let collapsed = get(addr, "/debug/profile?format=collapsed")?;
     if !collapsed.contains("serve.request") {
@@ -544,8 +535,16 @@ fn check_observability(addr: &str) -> Result<String, String> {
         .get("stacks")
         .and_then(JsonValue::as_array)
         .ok_or("profile json missing stacks array")?;
-    if stacks.is_empty() {
-        return Err("profile json has zero stacks".to_string());
+    // The daemon runs the counting allocator, so a request's span
+    // carries the bytes its handler allocated.
+    let request_bytes = stacks
+        .iter()
+        .find(|s| s.get("stack").and_then(JsonValue::as_str) == Some("serve.request"))
+        .and_then(|s| s.get("alloc_bytes"))
+        .and_then(JsonValue::as_u64)
+        .ok_or("profile json has no serve.request stack")?;
+    if request_bytes == 0 {
+        return Err("serve.request stack records no allocated bytes".to_string());
     }
     let svg = get(addr, "/debug/profile?format=svg")?;
     if !svg.starts_with("<svg") || !svg.contains("serve.request") {
@@ -555,12 +554,28 @@ fn check_observability(addr: &str) -> Result<String, String> {
 
     // TSDB: the sampler must have filled at least two downsample tiers
     // for the headline request counter (parallel ingest populates every
-    // tier on each tick, so this converges within one sample interval).
+    // tier on each tick, so this converges within one sample interval),
+    // and derived its rate series (which needs a second tick).
     let deadline = Instant::now() + Duration::from_secs(20);
     loop {
         let (status, body) =
             http_request(addr, "GET", "/query?metric=serve.requests&range=600", "")?;
-        if status == 200 {
+        let (rate_status, rate_body) = http_request(
+            addr,
+            "GET",
+            "/query?metric=serve.requests.rate&range=600",
+            "",
+        )?;
+        let rate_points = if rate_status == 200 {
+            JsonValue::parse(&rate_body)
+                .map_err(|e| format!("/query rate: {e}"))?
+                .get("points")
+                .and_then(JsonValue::as_array)
+                .map_or(0, <[JsonValue]>::len)
+        } else {
+            0
+        };
+        if status == 200 && rate_points >= 1 {
             let doc = JsonValue::parse(&body).map_err(|e| format!("/query: {e}"))?;
             let tiers = doc
                 .get("tiers")
@@ -577,17 +592,34 @@ fn check_observability(addr: &str) -> Result<String, String> {
             if populated >= 2 && points >= 1 {
                 expect_status(addr, "GET", "/query?metric=no.such.series", "", 404)?;
                 expect_status(addr, "GET", "/query", "", 400)?;
+                expect_status(
+                    addr,
+                    "GET",
+                    "/query?metric=serve.requests&range=abc",
+                    "",
+                    400,
+                )?;
+                expect_status(
+                    addr,
+                    "GET",
+                    "/query?metric=serve.requests&step=abc",
+                    "",
+                    400,
+                )?;
                 return Ok(format!(
-                    "observability: dashboard ok; profile {} stacks in 3 formats; \
-                     /query serves {points} points across {populated} populated tiers\n",
+                    "observability: dashboard ok; profile {} stacks in 3 formats, \
+                     serve.request allocated {request_bytes} bytes; /query serves \
+                     {points} points across {populated} populated tiers, and \
+                     serve.requests.rate\n",
                     stacks.len()
                 ));
             }
         }
         if Instant::now() >= deadline {
             return Err(format!(
-                "sampler never populated two tiers for serve.requests within 20s \
-                 (is the daemon running with a sampler? last /query: {status})"
+                "sampler never populated two tiers and a rate for serve.requests within 20s \
+                 (is the daemon running with a sampler? last /query: {status}, \
+                 rate: {rate_status} with {rate_points} points)"
             ));
         }
         std::thread::sleep(Duration::from_millis(200));

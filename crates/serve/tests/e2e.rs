@@ -25,8 +25,8 @@ use svt_serve::server::{
 };
 use svt_serve::smoke::{run_smoke_full, SmokeOptions};
 
-// Match the daemon: attribute allocations so /metrics carries the
-// svt_alloc_* gauges during the smoke scrape.
+// Match the daemon: count allocations so /metrics carries the
+// svt_alloc_* gauges and every span its allocated bytes.
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::system();
 
@@ -57,13 +57,12 @@ fn resize_batch(instance: &str) -> ([svt_eco::EcoEdit; 2], String) {
 
 #[test]
 fn daemon_serves_multi_tenant_traffic_with_bit_exact_eco_deltas() {
-    // Mirror the daemon's defaults: live timeline, allocation
-    // attribution, armed watchdog, continuous profiler, and a sampler
+    // Mirror the daemon's defaults: span recording with the live
+    // timeline, allocation attribution, armed watchdog, and a sampler
     // feeding the embedded time-series store.
     svt_obs::set_mode(svt_obs::TraceMode::Chrome);
     svt_obs::alloc::set_active(true);
     svt_exec::watchdog::arm(Duration::from_secs(30));
-    svt_obs::profile::set_enabled(true);
     let sampler = svt_obs::tsdb::Sampler::spawn(
         svt_obs::tsdb::global(),
         Duration::from_millis(100),
@@ -96,7 +95,7 @@ fn daemon_serves_multi_tenant_traffic_with_bit_exact_eco_deltas() {
     let server = Server::spawn("127.0.0.1:0", state).expect("bind an ephemeral port");
     let addr = server.addr().to_string();
 
-    // The full CI sequence: healthz, scrapes with delta series,
+    // The full CI sequence: healthz, the /metrics scrape,
     // snapshot, timeline, single + batched bit-exact ECO differentials,
     // the /designs surface with lazy warm-up, isolation, and the
     // 404/405/400 error paths. (Backpressure and shutdown run in

@@ -95,12 +95,13 @@ for m in "${inverse_metrics[@]}"; do
 done
 
 # Absolute-threshold metrics: gated on the latest value alone, not the
-# delta. profile_overhead_pct (bench_pipeline section 7) is what the
-# always-on continuous profiler + TSDB sampler add on top of summary
-# tracing; its healthy baseline is ~0 %, so a relative gate would trip on
-# pure timer noise — instead the latest measurement simply must stay
-# under an absolute ceiling. The value can be slightly negative (noise),
-# hence the sign-aware extraction.
+# delta. profile_overhead_pct (bench_pipeline section 7) is what svtd's
+# other always-on layers — the 100 ms TSDB sampler and per-span
+# allocation attribution — add on top of summary tracing; its healthy
+# baseline is ~0 %, so a relative gate would trip on pure timer noise —
+# instead the latest measurement simply must stay under an absolute
+# ceiling. The value can be slightly negative (noise), hence the
+# sign-aware extraction.
 PROFILE_OVERHEAD_CEILING_PCT="${BENCH_PROFILE_OVERHEAD_PCT:-15}"
 latest=$(grep '"profile_overhead_pct":' "$HISTORY" | tail -n 1 || true)
 if [[ -z "$latest" ]]; then

@@ -17,6 +17,11 @@ cargo test -q --offline
 echo "== full workspace tests"
 cargo test --workspace -q --offline
 
+# perfbench is its own workspace, so the steps above never compile it;
+# --locked also fails if its frozen Cargo.lock would change.
+echo "== benchmark builds against the current crates"
+cargo check --offline --locked --manifest-path perfbench/Cargo.toml
+
 # The svt packages only — vendor/ stand-ins are out of scope for the
 # documentation gate.
 SVT_PKGS=(-p svt -p svt-geom -p svt-litho -p svt-opc -p svt-stdcell
