@@ -3,13 +3,12 @@
 //! delay and the % reduction in BC→WC uncertainty per testcase.
 //!
 //! ```text
-//! cargo run --release -p svt-bench --bin tab2_timing [--bins N] [benchmark ...]
+//! cargo run --release -p svt-bench --bin tab2_timing [--simplified] [--audit [dir]] [benchmark ...]
 //! ```
 //!
-//! `--bins N` selects the context-bin count per nps parameter for the
-//! ablation called out in DESIGN.md (default 3, the paper's 81-version
-//! library; the expanded library always uses 3 bins — coarser/finer
-//! binning is emulated by collapsing contexts at lookup time).
+//! `--simplified` runs the paper's §5 flow without the context library.
+//! Each remaining argument names an ISCAS85 testcase (default: the
+//! paper's five); anything else is rejected before the library expands.
 //!
 //! `--audit [dir]` additionally writes the sign-off audit trail per
 //! testcase (`audit_<case>.txt` + `audit_<case>.json`, default directory
@@ -18,6 +17,7 @@
 
 use svt_bench::{build_design, signoff_simulator, PAPER_TESTCASES};
 use svt_core::{SignoffFlow, SignoffOptions};
+use svt_netlist::BenchmarkProfile;
 use svt_stdcell::{expand_library, ExpandOptions, Library};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -29,10 +29,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--simplified" => simplified = true,
-            "--bins" => {
-                let _ = args.next(); // accepted for CLI compatibility
-                eprintln!("note: bin-count ablation runs in benches/flow.rs");
-            }
             "--audit" => {
                 // Optional directory operand; flags and testcases are never
                 // directories here, so a path-ish next arg is the operand.
@@ -47,6 +43,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     if testcases.is_empty() {
         testcases = PAPER_TESTCASES.iter().map(|s| s.to_string()).collect();
+    }
+    if let Some(bad) = testcases
+        .iter()
+        .find(|name| BenchmarkProfile::iscas85(name).is_none())
+    {
+        return Err(
+            format!("unknown argument `{bad}`: expected an ISCAS85 testcase such as c432").into(),
+        );
     }
 
     let library = Library::svt90();

@@ -1,9 +1,9 @@
-//! Shared scaffolding for the `svt` experiment binaries and benches.
+//! Shared scaffolding for the `svt` experiment binaries.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the paper
 //! (see DESIGN.md for the index); this library centralizes the common
 //! design-construction steps so each binary stays focused on its
-//! experiment.
+//! experiment. Timing the flow is `perfbench/`'s job, not this crate's.
 
 use svt_litho::{LithoSimulator, Process};
 use svt_netlist::{generate_benchmark, technology_map, BenchmarkProfile, MappedNetlist};
@@ -35,22 +35,7 @@ pub struct Design {
 pub fn build_design(library: &Library, name: &str) -> Design {
     let profile = BenchmarkProfile::iscas85(name)
         .unwrap_or_else(|| panic!("unknown ISCAS85 benchmark `{name}`"));
-    build_design_from_profile(library, &profile)
-}
-
-/// Builds a placed design from any benchmark profile — the ISCAS85 suite
-/// or the seeded scaling profiles (`s10k`, `s100k`, `s1m`) the
-/// `bench_scale` binary sweeps. Same seed/utilization recipe as
-/// [`build_design`], so the ISCAS85 designs are identical through either
-/// entry point.
-///
-/// # Panics
-///
-/// Panics on internal flow failures — the experiment binaries treat
-/// these as fatal.
-#[must_use]
-pub fn build_design_from_profile(library: &Library, profile: &BenchmarkProfile) -> Design {
-    let netlist = generate_benchmark(profile);
+    let netlist = generate_benchmark(&profile);
     let mapped = technology_map(&netlist, library).expect("mapping the svt90 library succeeds");
     // Each testcase gets its own placement seed and utilization so the
     // context mixtures differ across the suite, as real placements would.
@@ -62,7 +47,7 @@ pub fn build_design_from_profile(library: &Library, profile: &BenchmarkProfile) 
     };
     let placement = place(&mapped, library, &options).expect("placement succeeds");
     Design {
-        name: profile.name.clone(),
+        name: profile.name,
         source_gates: netlist.gates().len(),
         mapped,
         placement,
@@ -73,26 +58,6 @@ pub fn build_design_from_profile(library: &Library, profile: &BenchmarkProfile) 
 #[must_use]
 pub fn signoff_simulator() -> LithoSimulator {
     Process::nm90().simulator()
-}
-
-/// The repository root, where experiment outputs (`BENCH_*.json`,
-/// `BENCH_history.jsonl`) land regardless of which package built the
-/// binary.
-///
-/// This library always compiles with manifest dir `crates/bench`, two
-/// levels below the root; the strip keeps the result correct if the lib
-/// is ever vendored elsewhere.
-#[must_use]
-pub fn repo_root() -> &'static std::path::Path {
-    let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    if manifest.ends_with("crates/bench") {
-        manifest
-            .parent()
-            .and_then(std::path::Path::parent)
-            .unwrap_or(manifest)
-    } else {
-        manifest
-    }
 }
 
 /// The five testcases of the paper's Tables 1 and 2.

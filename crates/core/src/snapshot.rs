@@ -291,6 +291,16 @@ mod tests {
         assert!(back.fem.is_none());
         assert!(!back.expand_caches.pairs.is_empty());
 
+        // With a FEM section: one pitch, three foci, one dose. Re-encoding
+        // the restored stack must reproduce the container byte for byte,
+        // so every CD survives bit-exactly.
+        let fem =
+            FocusExposureMatrix::build(&sim, 90.0, &[240.0], &[-75.0, 0.0, 75.0], &[1.0]).unwrap();
+        let with_fem = PipelineSnapshot::capture(&expanded, Some(&fem), None).to_bytes(fp);
+        let back = PipelineSnapshot::from_bytes(&with_fem, fp).unwrap();
+        assert_eq!(back.fem.as_ref(), Some(&fem));
+        assert_eq!(back.to_bytes(fp), with_fem);
+
         // A different stack refuses the container before touching payload
         // sections.
         let err = PipelineSnapshot::from_bytes(&bytes, fp ^ 1).unwrap_err();

@@ -5,13 +5,11 @@
 //! the interned topology is verified rather than rebuilt, and the
 //! analysis working set comes from pooled bump arenas. The seed measured
 //! ~153k allocations / 9.7 MB per c432 sign-off; the arena/SoA refactor
-//! targets < 10k, asserted here so `cargo test` catches a regression
-//! without running the benches (`bench_compare.sh` gates the same number
-//! across history).
+//! targets < 10k, asserted here so `cargo test` catches a regression.
 //!
 //! The test binary installs its own counting global allocator — the
-//! `alloc-telemetry` hook is compiled in by default and costs one relaxed
-//! load while inactive, so the cold run is unaffected.
+//! hook costs one relaxed load while inactive, so the cold run is
+//! unaffected.
 
 use svt_core::{SignoffFlow, SignoffOptions};
 use svt_litho::Process;

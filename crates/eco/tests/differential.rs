@@ -9,9 +9,11 @@
 //!
 //! * the six corner delays match bit-for-bit (`f64::to_bits`),
 //! * `uncertainty_reduction_pct` matches bit-for-bit,
-//! * the audit trail renders to byte-identical text *and* JSON, and
+//! * the audit trail renders to byte-identical text *and* JSON,
 //! * the [`DeltaReport`]'s delta audit splices into the pre-edit audit
-//!   to exactly the post-edit full audit.
+//!   to exactly the post-edit full audit, and
+//! * the edit stayed local: at most two rows re-extracted and at most a
+//!   tenth of the design re-characterized.
 //!
 //! The whole scenario runs under `SVT_THREADS` ∈ {1, default} — thread
 //! count is a performance knob, never a result knob, incremental or not.
@@ -136,6 +138,17 @@ fn run_scenario(seed: u64, label: &str) {
             Err(e) => panic!("[{label}] edit {} failed: {e}", edit.describe()),
         };
         applied += 1;
+        // Where the incremental path saves its time: an edit re-extracts
+        // only the rows it touches and re-characterizes only its radius of
+        // influence. The wall-clock ratio is perfbench's to measure.
+        let instances = session.netlist().instances().len();
+        assert!(
+            delta.rows_extracted.len() <= 2 && delta.recharacterized.len() * 10 <= instances,
+            "[{label}] {} re-extracted {} rows and re-characterized {} of {instances} instances",
+            delta.edit,
+            delta.rows_extracted.len(),
+            delta.recharacterized.len()
+        );
 
         let full = flow
             .run_with_provenance(session.netlist(), session.placement())

@@ -19,9 +19,8 @@
 //!
 //! Disarmed (the default — only `svtd` and tests arm it), the pool's
 //! per-batch check [`armed`] is **one relaxed atomic load**, and no
-//! monitor thread exists until the first [`arm`]. The `watchdog` cargo
-//! feature (default on) removes even that. Heartbeat slots follow the
-//! timeline-ring pattern: a fixed table, claimed per worker thread,
+//! monitor thread exists until the first [`arm`]. Heartbeat slots follow
+//! the timeline-ring pattern: a fixed table, claimed per worker thread,
 //! returned on thread exit, so memory is bounded by peak concurrency.
 
 use std::cell::{Cell, RefCell};
@@ -89,15 +88,12 @@ thread_local! {
 #[inline]
 #[must_use]
 pub fn armed() -> bool {
-    cfg!(feature = "watchdog") && ARMED.load(Ordering::Relaxed)
+    ARMED.load(Ordering::Relaxed)
 }
 
 /// Arms the watchdog with a stall `deadline` and starts the monitor
 /// thread (once per process; re-arming adjusts the deadline in place).
 pub fn arm(deadline: Duration) {
-    if !cfg!(feature = "watchdog") {
-        return;
-    }
     let ns = u64::try_from(deadline.as_nanos())
         .unwrap_or(u64::MAX)
         .max(1);
@@ -127,9 +123,6 @@ pub fn disarm() {
 /// path). Claims a heartbeat slot on the thread's first task; if the
 /// table is exhausted the task simply runs unmonitored.
 pub fn task_begin() {
-    if !cfg!(feature = "watchdog") {
-        return;
-    }
     let _ = MY_SLOT.try_with(|cell| {
         let mut cell = cell.borrow_mut();
         if cell.is_none() {
@@ -149,9 +142,6 @@ pub fn task_begin() {
 
 /// Marks the current thread as having left a pool task.
 pub fn task_end() {
-    if !cfg!(feature = "watchdog") {
-        return;
-    }
     let _ = MY_SLOT.try_with(|cell| {
         if let Some(guard) = cell.borrow().as_ref() {
             let depth = guard.depth.get().saturating_sub(1);

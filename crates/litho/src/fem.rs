@@ -217,6 +217,8 @@ mod tests {
         // 3 pitches × 3 doses × up to 9 focus points.
         assert!(pts.len() > 3 * 3 * 5, "only {} FEM points", pts.len());
         assert!(pts.iter().any(|p| p.pitch_nm.is_infinite()));
+        // A rebuild reads every CD from the memo and must not change one.
+        assert_eq!(fem(), m, "warm FEM rebuild diverged");
     }
 
     #[test]

@@ -176,8 +176,8 @@ impl ImagingConfig {
         self.grid_nm
     }
 
-    /// Returns a copy with a different source sampling density (used by the
-    /// accuracy-vs-runtime ablation bench).
+    /// Returns a copy with a different source sampling density (the
+    /// accuracy-vs-runtime knob of the Abbe source integration).
     #[must_use]
     pub fn with_source_samples(mut self, n: usize) -> ImagingConfig {
         assert!(n >= 2, "need at least 2 source samples");
@@ -383,6 +383,27 @@ mod tests {
             let b = img.intensity_at(-x).unwrap();
             assert!((a - b).abs() < 1e-6, "asymmetry at ±{x}: {a} vs {b}");
         }
+    }
+
+    #[test]
+    fn cached_transfer_tables_image_bit_identically() {
+        // A defocus no other test uses, so the first image builds its
+        // transfer tables and the second reads them from the cache.
+        let mask = MaskCutline::from_lines(-1024.0, 2048.0, 2.0, &[(-65.0, 65.0)]).unwrap();
+        let bits = |img: &AerialImage| {
+            img.samples()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        };
+        let cold = config().aerial_image(&mask, 123.0);
+        let hits_before = transfer_cache_stats().hits;
+        let warm = config().aerial_image(&mask, 123.0);
+        assert_eq!(bits(&cold), bits(&warm), "a cached table changed the image");
+        assert!(
+            transfer_cache_stats().hits > hits_before,
+            "repeat image missed the transfer-table cache"
+        );
     }
 
     #[test]

@@ -45,8 +45,8 @@ pub const ISCAS85_PROFILES: [(&str, usize, usize, usize); 10] = [
 /// Seeded scaling profiles past the ISCAS85 suite: `(name, PIs, POs,
 /// gates)`. The PI/PO counts extrapolate the suite's boundary-to-gate
 /// ratios so mapped depth and fanout statistics stay in the realistic
-/// band; `bench_scale` uses these to publish the gates-vs-walltime
-/// sign-off scaling curve.
+/// band; the benchmark's large design takes `s100k`'s shape through
+/// [`BenchmarkProfile::custom`].
 pub const SCALING_PROFILES: [(&str, usize, usize, usize); 3] = [
     ("s10k", 512, 256, 10_000),
     ("s100k", 1536, 768, 100_000),
@@ -58,21 +58,6 @@ impl BenchmarkProfile {
     #[must_use]
     pub fn iscas85(name: &str) -> Option<BenchmarkProfile> {
         ISCAS85_PROFILES
-            .iter()
-            .find(|(n, _, _, _)| *n == name)
-            .map(|&(n, pi, po, gates)| BenchmarkProfile {
-                name: n.to_string(),
-                inputs: pi,
-                outputs: po,
-                gates,
-                seed: seed_of(n),
-            })
-    }
-
-    /// A seeded scaling profile ([`SCALING_PROFILES`]), by name.
-    #[must_use]
-    pub fn scaling(name: &str) -> Option<BenchmarkProfile> {
-        SCALING_PROFILES
             .iter()
             .find(|(n, _, _, _)| *n == name)
             .map(|&(n, pi, po, gates)| BenchmarkProfile {
@@ -299,16 +284,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn scaling_profiles_generate_with_exact_counts() {
-        let p = BenchmarkProfile::scaling("s10k").unwrap();
-        let n = generate_benchmark(&p);
-        assert_eq!(n.gates().len(), p.gates);
-        assert_eq!(n.inputs().len(), p.inputs);
-        assert_eq!(n.outputs().len(), p.outputs);
-        assert!(BenchmarkProfile::scaling("s9k").is_none());
     }
 
     #[test]

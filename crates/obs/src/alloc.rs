@@ -29,11 +29,10 @@
 //!
 //! # Cost contract
 //!
-//! Mirrors the rest of `svt-obs`: compiled out entirely without the
-//! `alloc-telemetry` feature, and when compiled in but not activated (the
-//! default) the hook is **one relaxed atomic load** before falling
-//! through to the real allocator. [`set_active`] turns recording on —
-//! `svtd` and `bench_pipeline` do this explicitly; batch runs never pay.
+//! Mirrors the rest of `svt-obs`: while not activated (the default) the
+//! hook is **one relaxed atomic load** before falling through to the
+//! real allocator. [`set_active`] turns recording on — `svtd` does this
+//! at boot; batch runs never pay.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -56,9 +55,6 @@ thread_local! {
 /// Spans read it when they open and close; only differences matter.
 #[inline]
 pub(crate) fn thread_bytes() -> u64 {
-    if !cfg!(feature = "alloc-telemetry") {
-        return 0;
-    }
     THREAD_BYTES.try_with(Cell::get).unwrap_or(0)
 }
 
@@ -72,16 +68,13 @@ pub fn set_active(on: bool) {
 #[inline]
 #[must_use]
 pub fn active() -> bool {
-    cfg!(feature = "alloc-telemetry") && ACTIVE.load(Ordering::Relaxed)
+    ACTIVE.load(Ordering::Relaxed)
 }
 
 /// The allocation hook proper: atomics and one TLS cell, no allocation,
 /// no panic.
 #[inline]
 fn record_alloc(bytes: usize) {
-    if !cfg!(feature = "alloc-telemetry") {
-        return;
-    }
     if !ACTIVE.load(Ordering::Relaxed) {
         return; // the entire inactive cost: one relaxed load
     }
@@ -99,7 +92,7 @@ pub fn totals() -> (u64, u64) {
     )
 }
 
-/// Zeroes the process totals. Lets a benchmark isolate one measured
+/// Zeroes the process totals. Lets a caller isolate one measured
 /// section (warm up, reset, measure) instead of reporting cumulative
 /// process history. Counters racing with a live hook are zeroed on a
 /// best-effort basis — call it between sections, not under concurrent

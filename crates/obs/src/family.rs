@@ -173,13 +173,6 @@ impl CounterFamily {
         }
         out
     }
-
-    pub(crate) fn reset(&self) {
-        for (_, c) in lock_recovering(&self.core.series).iter() {
-            c.reset();
-        }
-        self.core.overflow.reset();
-    }
 }
 
 /// A histogram fanned out over label values.
@@ -234,13 +227,6 @@ impl HistogramFamily {
             out.push((vs, self.core.overflow.count(), self.core.overflow.sum()));
         }
         out
-    }
-
-    pub(crate) fn reset(&self) {
-        for (_, h) in lock_recovering(&self.core.series).iter() {
-            h.reset();
-        }
-        self.core.overflow.reset();
     }
 }
 
@@ -329,7 +315,5 @@ mod tests {
                 (vec!["/timing".to_string()], 1, 7),
             ]
         );
-        fam.reset();
-        assert!(fam.collect().is_empty() || fam.collect().iter().all(|s| s.1 == 0));
     }
 }

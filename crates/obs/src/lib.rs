@@ -22,13 +22,11 @@
 //! Tracing is controlled by `SVT_TRACE` (`off` | `summary` |
 //! `json[:path]` | `chrome[:path]` | `prom[:path]`), latched on first
 //! probe. When off, every probe is one relaxed atomic load and a
-//! predictable branch — the pipeline's timing
-//! results are bit-identical with tracing on, off, or compiled out
-//! (`default-features = false` removes the probes entirely), and
-//! `bench_pipeline` measures the off-mode cost every run. Counter and
-//! histogram call sites cache their `&'static` handle in a per-site
-//! `OnceLock` (see [`counter!`]), so enabled-mode updates are lock-free
-//! too; only the *first* use of a name takes a shard lock.
+//! predictable branch — the pipeline's timing results are bit-identical
+//! with tracing on or off, and `tests/overhead.rs` bounds the off-mode
+//! cost. Counter and histogram call sites cache their `&'static` handle
+//! in a per-site `OnceLock` (see [`counter!`]), so enabled-mode updates
+//! are lock-free too; only the *first* use of a name takes a shard lock.
 //!
 //! # Examples
 //!
@@ -152,18 +150,12 @@ fn mode_code() -> u8 {
 #[inline]
 #[must_use]
 pub fn enabled() -> bool {
-    if !cfg!(feature = "telemetry") {
-        return false;
-    }
     mode_code() > MODE_OFF
 }
 
 /// The active trace mode.
 #[must_use]
 pub fn mode() -> TraceMode {
-    if !cfg!(feature = "telemetry") {
-        return TraceMode::Off;
-    }
     match mode_code() {
         MODE_SUMMARY => TraceMode::Summary,
         MODE_JSON => TraceMode::Json,
@@ -178,9 +170,6 @@ pub fn mode() -> TraceMode {
 #[inline]
 #[must_use]
 pub fn timeline_enabled() -> bool {
-    if !cfg!(feature = "telemetry") {
-        return false;
-    }
     mode_code() == MODE_CHROME
 }
 

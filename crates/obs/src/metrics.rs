@@ -32,11 +32,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
-
-    /// Resets to zero (between benchmark sections).
-    pub fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
-    }
 }
 
 /// A signed instantaneous value (pool sizes, queue depths).
@@ -62,11 +57,6 @@ impl Gauge {
     #[must_use]
     pub fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
-    }
-
-    /// Resets to zero.
-    pub fn reset(&self) {
-        self.set(0);
     }
 
     /// Increments the gauge and returns a guard that decrements it on
@@ -196,9 +186,9 @@ impl Histogram {
     /// Estimates the `q`-quantile (`q` in `[0, 1]`) of the recorded
     /// samples by walking the cumulative bucket counts to the target
     /// rank and interpolating linearly inside the landing log2 bucket.
-    /// Registry-wide single implementation — `bench_serve`'s p50/p99 and
-    /// the TSDB sampler's derived quantile series both use it. Returns
-    /// 0 with no samples.
+    /// Registry-wide single implementation — snapshot histogram entries
+    /// and the TSDB sampler's derived quantile series both use it.
+    /// Returns 0 with no samples.
     #[must_use]
     pub fn quantile(&self, q: f64) -> f64 {
         quantile_from_buckets(&self.nonzero_buckets(), q)
@@ -215,15 +205,6 @@ impl Histogram {
                 (n > 0).then(|| (Self::bucket_lower_bound(i), n))
             })
             .collect()
-    }
-
-    /// Resets every bucket and the count/sum.
-    pub fn reset(&self) {
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
     }
 }
 
@@ -342,15 +323,6 @@ impl SpanStat {
             mean
         }
     }
-
-    /// Resets all fields.
-    pub fn reset(&self) {
-        self.count.store(0, Ordering::Relaxed);
-        self.total_ns.store(0, Ordering::Relaxed);
-        self.min_ns.store(u64::MAX, Ordering::Relaxed);
-        self.max_ns.store(0, Ordering::Relaxed);
-        self.alloc_bytes.store(0, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -363,15 +335,11 @@ mod tests {
         c.incr();
         c.add(9);
         assert_eq!(c.get(), 10);
-        c.reset();
-        assert_eq!(c.get(), 0);
 
         let g = Gauge::default();
         g.set(5);
         g.add(-7);
         assert_eq!(g.get(), -2);
-        g.reset();
-        assert_eq!(g.get(), 0);
     }
 
     #[test]
@@ -392,9 +360,6 @@ mod tests {
         let buckets = h.nonzero_buckets();
         assert_eq!(buckets, vec![(0, 2), (2, 2), (1024, 2)]);
         assert!((h.mean() - 2055.0 / 6.0).abs() < 1e-12);
-        h.reset();
-        assert_eq!(h.count(), 0);
-        assert!(h.nonzero_buckets().is_empty());
     }
 
     #[test]
@@ -442,17 +407,6 @@ mod tests {
         assert_eq!(s.max_ns(), 30);
         assert_eq!(s.alloc_bytes(), 72);
         assert!((s.mean_ns() - 20.0).abs() < 1e-12);
-        s.reset();
-        assert_eq!(
-            (
-                s.count(),
-                s.total_ns(),
-                s.min_ns(),
-                s.max_ns(),
-                s.alloc_bytes()
-            ),
-            (0, 0, 0, 0, 0)
-        );
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub struct RequestCapsule {
     /// it up (0 when no pool task was involved).
     pub queue_wait_ns: u64,
     /// Allocations made process-wide during the request window (requires
-    /// the `alloc-telemetry` allocator; 0 otherwise). Process-global, so
+    /// the active counting allocator; 0 otherwise). Process-global, so
     /// concurrent requests inflate each other's deltas.
     pub alloc_count: u64,
     /// Bytes allocated process-wide during the request window.

@@ -216,23 +216,6 @@ impl Registry {
         }
     }
 
-    /// Resets every counter, gauge, histogram, and span aggregate to its
-    /// initial state. Cache probes are untouched (they read live caches).
-    pub fn reset_metrics(&self) {
-        for shard in &self.shards {
-            for metric in lock_recovering(shard).values() {
-                match metric {
-                    Metric::Counter(c) => c.reset(),
-                    Metric::Gauge(g) => g.reset(),
-                    Metric::Histogram(h) => h.reset(),
-                    Metric::Span(s) => s.reset(),
-                    Metric::CounterFamily(f) => f.reset(),
-                    Metric::HistogramFamily(f) => f.reset(),
-                }
-            }
-        }
-    }
-
     /// Takes a point-in-time snapshot of every metric and cache probe,
     /// sorted by name so output is deterministic.
     #[must_use]

@@ -333,8 +333,8 @@ impl Snapshot {
 }
 
 /// Renders the static identity block served at the top of `/metrics`:
-/// `svt_build_info{version, profile, features}` (always 1, labels carry
-/// the payload, the standard Prometheus build-info idiom) plus
+/// `svt_build_info{version, profile}` (always 1, labels carry the
+/// payload, the standard Prometheus build-info idiom) plus
 /// `svt_uptime_seconds` so dashboards can spot restarts.
 #[must_use]
 pub fn build_info_prometheus(uptime_seconds: f64) -> String {
@@ -343,19 +343,11 @@ pub fn build_info_prometheus(uptime_seconds: f64) -> String {
     } else {
         "release"
     };
-    let mut features = Vec::new();
-    if cfg!(feature = "telemetry") {
-        features.push("telemetry");
-    }
-    if cfg!(feature = "alloc-telemetry") {
-        features.push("alloc-telemetry");
-    }
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "# TYPE svt_build_info gauge\nsvt_build_info{{version=\"{}\",profile=\"{profile}\",features=\"{}\"}} 1",
-        escape(env!("CARGO_PKG_VERSION")),
-        escape(&features.join(","))
+        "# TYPE svt_build_info gauge\nsvt_build_info{{version=\"{}\",profile=\"{profile}\"}} 1",
+        escape(env!("CARGO_PKG_VERSION"))
     );
     let _ = writeln!(
         out,
@@ -685,7 +677,6 @@ mod tests {
         assert_eq!(info.value, 1.0);
         assert_eq!(info.label("version"), Some(env!("CARGO_PKG_VERSION")));
         assert!(matches!(info.label("profile"), Some("debug" | "release")));
-        assert!(info.label("features").is_some());
         let uptime = samples
             .iter()
             .find(|s| s.name == "svt_uptime_seconds")

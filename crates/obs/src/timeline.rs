@@ -168,11 +168,6 @@ impl Ring {
             dropped,
         }
     }
-
-    /// Forgets every recorded event and resets the drop count.
-    pub fn reset(&self) {
-        self.head.store(0, Ordering::Release);
-    }
 }
 
 fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -310,14 +305,6 @@ pub fn snapshot_current() -> Option<ThreadTimeline> {
         .flatten()
 }
 
-/// Clears every recorded event and drop count (rings and tids survive).
-/// Benchmarks call this between phases they want traced in isolation.
-pub fn reset_all() {
-    for ring in lock_recovering(all_rings()).iter() {
-        ring.reset();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,8 +334,6 @@ mod tests {
         assert_eq!(snap.events[0].phase, Phase::Begin);
         assert_eq!(snap.events[1].phase, Phase::End);
         assert_eq!(snap.events[0].name, "t.ring.b");
-        ring.reset();
-        assert!(ring.snapshot().events.is_empty());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! End-to-end test of per-span allocation attribution with the counting
 //! allocator actually installed as the process `#[global_allocator]` —
-//! exactly how `svtd` and `bench_pipeline` run it.
+//! exactly how `svtd` runs it.
 //!
 //! One `#[test]` only: the hook's totals and activity switch are
 //! process-global, and a sibling test allocating concurrently would make

@@ -18,8 +18,8 @@
 //!   client sends `Connection: close` (HTTP/1.0 is close-by-default),
 //!   and [`write_response`] emits the matching `Connection:` header.
 //! * [`HttpClient`] is the pure-Rust persistent client used by the
-//!   smoke mode, the e2e tests, and the `bench_serve` load generator;
-//!   [`http_request`] stays as the one-shot convenience wrapper.
+//!   smoke mode and the e2e and stress tests; [`http_request`] stays as
+//!   the one-shot convenience wrapper.
 
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -492,7 +492,7 @@ impl HttpResponse {
 
 /// Persistent pure-Rust HTTP/1.1 client: one TCP connection reused
 /// across requests (keep-alive), `Content-Length` framed responses.
-/// Used by the smoke mode, the e2e/stress tests, and `bench_serve`.
+/// Used by the smoke mode and the e2e/stress tests.
 ///
 /// # Examples
 ///

@@ -295,6 +295,10 @@ fn daemon_serves_multi_tenant_traffic_with_bit_exact_eco_deltas() {
                         };
                         worst = worst.max(t.elapsed());
                         assert_eq!(status, 200, "{body}");
+                        assert!(
+                            body.contains("\"testcase\":\"c432\""),
+                            "wrong design: {body}"
+                        );
                         reads += 1;
                     }
                     (reads, worst)

@@ -28,6 +28,12 @@ use svt_serve::http::{http_request, HttpClient};
 use svt_serve::server::{DesignSpec, Server, ServerOptions, ServiceState};
 
 const KEEP_ALIVE_CAP: usize = 5;
+/// Phase 1's idle timeout: short, so the reaping checks finish quickly.
+const IDLE_TIMEOUT: Duration = Duration::from_millis(400);
+/// Phase 2's idle timeout: longer than its whole probe window (10 s to
+/// fill the pool, then at most 50 probes of ≤ 550 ms), so the pinned
+/// loris connections stay pinned until a probe has seen the `429`.
+const PINNED_IDLE_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Live OS threads of this process (Linux); `None` where /proc is
 /// unavailable, which skips the leak assertion.
@@ -39,12 +45,12 @@ fn os_thread_count() -> Option<usize> {
         .and_then(|v| v.trim().parse().ok())
 }
 
-fn tiny_pool_options() -> ServerOptions {
+fn tiny_pool_options(idle_timeout: Duration) -> ServerOptions {
     ServerOptions {
         workers: 2,
         queue_capacity: 2,
         keep_alive_max_requests: KEEP_ALIVE_CAP,
-        idle_timeout: Duration::from_millis(400),
+        idle_timeout,
         // Widen the in-flight window so the drain test reliably
         // catches a request mid-handling.
         fault_delay: Some(Duration::from_millis(50)),
@@ -52,8 +58,9 @@ fn tiny_pool_options() -> ServerOptions {
     }
 }
 
-fn spawn_server() -> (Server, String) {
-    let state = ServiceState::new(&[DesignSpec::Builtin], tiny_pool_options()).expect("state");
+fn spawn_server(idle_timeout: Duration) -> (Server, String) {
+    let state =
+        ServiceState::new(&[DesignSpec::Builtin], tiny_pool_options(idle_timeout)).expect("state");
     state.warm("builtin").expect("warm builtin");
     let server = Server::spawn("127.0.0.1:0", state).expect("bind");
     let addr = server.addr().to_string();
@@ -74,7 +81,7 @@ fn backpressure_and_graceful_shutdown_under_fault_injection() {
     let baseline_threads = os_thread_count();
 
     // ---- Phase 1: keep-alive bounds. ----
-    let (server, addr) = spawn_server();
+    let (server, addr) = spawn_server(IDLE_TIMEOUT);
 
     // The request cap closes the connection after exactly
     // KEEP_ALIVE_CAP requests: the last response advertises the close,
@@ -122,10 +129,32 @@ fn backpressure_and_graceful_shutdown_under_fault_injection() {
     server.shutdown();
 
     // ---- Phase 2: slow-loris saturation → 429 → recovery. ----
-    let (server, addr) = spawn_server();
-    // Pin both workers and both queue slots. Scheduling decides which
-    // connection lands where, so over-provision a little and poll.
-    let lorises: Vec<TcpStream> = (0..4).map(|_| loris(&addr)).collect();
+    let (server, addr) = spawn_server(PINNED_IDLE_TIMEOUT);
+    // Pin both workers, then both queue slots, one loris at a time: each
+    // must show up in the pool's own gauges before the next connects, or
+    // it could find the queue still full of its predecessors and be
+    // refused itself. Probing starts only once the pool is full.
+    let gauge = |name: &str| svt_obs::registry().gauge(name).get();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut lorises = Vec::new();
+    for want in [(1, 0), (2, 0), (2, 1), (2, 2)] {
+        lorises.push(loris(&addr));
+        loop {
+            let got = (
+                gauge("serve.pool.in_flight"),
+                gauge("serve.pool.queue_depth"),
+            );
+            if got == want {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "loris {} did not land: (in_flight, queue_depth) = {got:?}, want {want:?}",
+                lorises.len()
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
     let mut rejection = None;
     for _ in 0..50 {
         let mut probe = match HttpClient::connect(&addr) {
@@ -140,8 +169,9 @@ fn backpressure_and_graceful_shutdown_under_fault_injection() {
                 rejection = Some(response);
                 break;
             }
-            // 200: a queue slot was free; timeout/err: probe got
-            // queued behind the loris connections. Either way retry.
+            // The pool is full, so a probe misses the 429 only on a
+            // transport hiccup (the server may reset the socket as it
+            // closes it). Retry.
             Ok(_) | Err(_) => std::thread::sleep(Duration::from_millis(50)),
         }
     }
@@ -189,12 +219,22 @@ fn backpressure_and_graceful_shutdown_under_fault_injection() {
 
     // ---- Plane-wide postconditions. ----
     // No handler/acceptor leaks: thread count back to the pre-server
-    // baseline once both servers are down.
-    if let (Some(before), Some(after)) = (baseline_threads, os_thread_count()) {
-        assert!(
-            after <= before,
-            "thread leak: {before} threads before the servers, {after} after shutdown"
-        );
+    // baseline once both servers are down. A joined thread can still be
+    // listed for a moment while the kernel reaps it, so poll to a
+    // deadline.
+    if let Some(before) = baseline_threads {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut after = os_thread_count();
+        while after.is_some_and(|n| n > before) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(20));
+            after = os_thread_count();
+        }
+        if let Some(after) = after {
+            assert!(
+                after <= before,
+                "thread leak: {before} threads before the servers, {after} after shutdown"
+            );
+        }
     }
     // And the watchdog never read pinned/idle connections as stalls.
     let wd = svt_exec::watchdog::status();

@@ -37,7 +37,4 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline "${SVT_PKGS[@]}"
 echo "== observability: SVT_TRACE=off overhead smoke gate"
 SVT_TRACE=off cargo test --release -q -p svt-obs --offline --test overhead
 
-echo "== perf trajectory: warm-path regression gate"
-bash scripts/bench_compare.sh
-
 echo "All checks passed."

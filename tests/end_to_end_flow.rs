@@ -2,7 +2,7 @@
 //! mapping → placement → library expansion → traditional vs aware corner
 //! sign-off (the paper's Table 2 experiment in miniature).
 
-use svt::core::{SignoffFlow, SignoffOptions, VariationBudget};
+use svt::core::{ArcLabelPolicy, SignoffFlow, SignoffOptions, VariationBudget};
 use svt::litho::Process;
 use svt::netlist::{generate_benchmark, technology_map, BenchmarkProfile};
 use svt::place::{place, PlacementOptions};
@@ -21,24 +21,38 @@ fn aware_signoff_reduces_uncertainty_in_the_paper_band() {
     let mapped = technology_map(&netlist, &library).expect("mapping succeeds");
     let placement = place(&mapped, &library, &PlacementOptions::default()).expect("placement");
 
-    let flow = SignoffFlow::new(&library, &expanded, SignoffOptions::default());
-    let cmp = flow.run(&mapped, &placement).expect("flow succeeds");
+    // The arc-labelling ablation: both policies must land in the band.
+    for policy in [ArcLabelPolicy::Majority, ArcLabelPolicy::Unanimous] {
+        let options = SignoffOptions {
+            policy,
+            ..SignoffOptions::default()
+        };
+        let flow = SignoffFlow::new(&library, &expanded, options);
+        let cmp = flow.run(&mapped, &placement).expect("flow succeeds");
 
-    // Corner ordering holds in both methodologies.
-    assert!(cmp.traditional.bc_ns < cmp.traditional.nom_ns);
-    assert!(cmp.traditional.nom_ns < cmp.traditional.wc_ns);
-    assert!(cmp.aware.bc_ns <= cmp.aware.nom_ns);
-    assert!(cmp.aware.nom_ns <= cmp.aware.wc_ns);
-    // The aware WC never exceeds the traditional WC and the aware BC never
-    // undershoots the traditional BC: systematics only remove pessimism.
-    assert!(cmp.aware.wc_ns <= cmp.traditional.wc_ns + 1e-9);
-    assert!(cmp.aware.bc_ns >= cmp.traditional.bc_ns - 1e-9);
-    // Headline metric in a plausible neighborhood of the paper's 28–40%.
-    let reduction = cmp.uncertainty_reduction_pct();
-    assert!(
-        (20.0..60.0).contains(&reduction),
-        "uncertainty reduction {reduction}%"
-    );
+        // Corner ordering holds in both methodologies.
+        assert!(cmp.traditional.bc_ns < cmp.traditional.nom_ns, "{policy:?}");
+        assert!(cmp.traditional.nom_ns < cmp.traditional.wc_ns, "{policy:?}");
+        assert!(cmp.aware.bc_ns <= cmp.aware.nom_ns, "{policy:?}");
+        assert!(cmp.aware.nom_ns <= cmp.aware.wc_ns, "{policy:?}");
+        // The aware WC never exceeds the traditional WC and the aware BC
+        // never undershoots the traditional BC: systematics only remove
+        // pessimism.
+        assert!(
+            cmp.aware.wc_ns <= cmp.traditional.wc_ns + 1e-9,
+            "{policy:?}"
+        );
+        assert!(
+            cmp.aware.bc_ns >= cmp.traditional.bc_ns - 1e-9,
+            "{policy:?}"
+        );
+        // Headline metric in a plausible neighborhood of the paper's 28–40%.
+        let reduction = cmp.uncertainty_reduction_pct();
+        assert!(
+            (20.0..60.0).contains(&reduction),
+            "{policy:?}: uncertainty reduction {reduction}%"
+        );
+    }
 }
 
 #[test]
