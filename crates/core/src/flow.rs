@@ -261,8 +261,8 @@ pub fn characterize_corner(
 /// binding it ran with plus the complete propagation state.
 ///
 /// Keeping the [`StaState`] (not just the [`TimingReport`]) is what lets
-/// `svt-eco` re-sign-off incrementally: [`svt_sta::analyze_incremental`]
-/// resumes from this state and recomputes only the cones an edit dirtied.
+/// `svt-eco` re-sign-off incrementally: [`StaState::update`] re-times
+/// this state in place, recomputing only what an edit changed.
 #[derive(Debug, Clone)]
 pub struct CornerAnalysis {
     /// Per-instance characterized cells the corner was analyzed with.
@@ -312,7 +312,7 @@ type AwareKey = (u32, CellContext, u64, u8);
 /// pure function of the flow's fixed options.
 ///
 /// * `topo` — the interned netlist [`SharedTopology`], verified (not
-///   rebuilt) on every analysis of the same design,
+///   rebuilt) on every analysis of the same netlist or a copy of it,
 /// * `aware` / `trad` — characterized-cell variants behind [`Arc`], keyed
 ///   by everything their tables depend on, so a warm run binds all six
 ///   corners without characterizing a single cell,
@@ -466,9 +466,10 @@ impl<'a> SignoffFlow<'a> {
 
     /// The cached interned topology if it still matches the netlist and
     /// binding, else a fresh build (which replaces the cached one). All
-    /// six corners of a run — and every warm rerun — share one
-    /// [`SharedTopology`], so the per-analysis graph cost is a
-    /// verification scan, not an interning rebuild.
+    /// six corners of a run — and every warm rerun on the same netlist or
+    /// a copy of it — share one [`SharedTopology`]: a matching netlist
+    /// stamp plus one output-pin check per instance, not an interning
+    /// rebuild.
     fn topo_for(
         &self,
         netlist: &MappedNetlist,

@@ -15,7 +15,8 @@
 //!   (`space + L <` 300 nm contacted pitch) lies at or below
 //!   [`ROI_NM`], so only same-row instances whose footprint falls within
 //!   ±600 nm of the edited geometry can change placement context or
-//!   device class. The session re-extracts exactly the touched rows
+//!   device class. The session extracts exactly the touched rows, once
+//!   before and once after the edit
 //!   ([`svt_place::Placement::device_sites_in_rows`] is bit-identical to
 //!   the full-design extraction), diffs contexts and classes inside the
 //!   window, recharacterizes only the changed instances (memoized per
@@ -23,9 +24,12 @@
 //!   and drops exactly the invalidated through-pitch CD rows via
 //!   [`svt_stdcell::invalidate_pitch_pairs`].
 //! * **Timing dirt** — the rebound instances seed
-//!   [`svt_sta::analyze_incremental`], which re-propagates arrivals only
-//!   through the forward fan-out cone and required times only through the
-//!   fan-in cone, per corner, across the `svt-exec` worker pool.
+//!   [`svt_sta::StaState::update`], which re-times each affected corner
+//!   in place: it re-evaluates an instance only when its variant, load or
+//!   input arrival/slew bits changed, and recomputes required times only
+//!   in the fan-in cone of what it re-evaluated. Corners with re-bound
+//!   instances run across the `svt-exec` worker pool; the others are not
+//!   touched.
 //!
 //! The result of each edit is a [`DeltaReport`]: changed endpoints with
 //! per-corner slack deltas, the traditional-vs-aware spread movement, and

@@ -43,11 +43,12 @@ pub struct DeltaReport {
     pub recharacterized: Vec<usize>,
     /// Through-pitch CD cache rows dropped by the targeted invalidation.
     pub pitch_rows_invalidated: usize,
-    /// Total instances re-evaluated across all six corners' forward
-    /// cones.
+    /// Total instances re-evaluated across all six corners: the
+    /// re-bound instances and drivers of re-loaded nets, plus every
+    /// instance downstream whose input arrival or slew changed bits.
     pub forward_instances: usize,
-    /// Total nets with recomputed required times across all six corners'
-    /// backward cones.
+    /// Total nets with recomputed required times across all six corners:
+    /// the fan-in cones of the re-evaluated instances.
     pub backward_nets: usize,
     /// Changed endpoint/corner pairs, bit-exact, audit corner order then
     /// endpoint order.

@@ -1,6 +1,6 @@
 use std::collections::HashSet;
+use std::sync::{Arc, Mutex};
 
-use std::sync::Arc;
 use svt_core::{
     audit_corner_delays, classify_device_site, CornerTiming, DeviceClass, FlowProvenance,
     SignoffComparison, SignoffFlow,
@@ -9,8 +9,8 @@ use svt_core::{
 use svt_exec::{try_par_map, MemoCache, ScratchPool};
 use svt_netlist::MappedNetlist;
 use svt_obs::audit::{AuditTrail, DeltaAudit, InstanceAudit, PathAudit};
-use svt_place::{DeviceSite, Placement};
-use svt_sta::{analyze_incremental_in, CellBinding, IncrementalStats, StaState};
+use svt_place::{instance_contexts_in_sites, DeviceSite, Placement};
+use svt_sta::{CellBinding, StaState};
 use svt_stdcell::{invalidate_pitch_pairs, CharacterizedCell};
 
 use crate::{DeltaReport, EcoEdit, EcoError, EndpointDelta};
@@ -203,12 +203,14 @@ impl<'a> EcoSession<'a> {
     /// Applies one edit and incrementally re-signs-off the design.
     ///
     /// Litho dirt is bounded by [`ROI_NM`]: only the touched rows are
-    /// re-extracted and only instances whose context or classes actually
-    /// changed are re-characterized (memoized per cell/context/classes/
-    /// corner). Timing dirt is bounded by the edit's fan-out and fan-in
-    /// cones via [`svt_sta::analyze_incremental`], run across all six
-    /// corners on the worker pool; traditional corners are skipped
-    /// entirely when the cell master did not change.
+    /// extracted, once before and once after the edit, and only instances
+    /// whose context or classes actually changed are re-characterized
+    /// (memoized per cell/context/classes/corner). Timing dirt is
+    /// bounded by [`StaState::update`], which re-times each corner in
+    /// place and re-evaluates only instances whose inputs changed bits;
+    /// the corners with re-bound instances run on the worker pool, and
+    /// the others — the traditional corners, when the cell master did not
+    /// change — are not touched at all.
     ///
     /// # Errors
     ///
@@ -227,9 +229,7 @@ impl<'a> EcoSession<'a> {
         let name = edit.instance().to_string();
         let idx = self
             .netlist
-            .instances()
-            .iter()
-            .position(|i| i.name == name)
+            .instance_index(&name)
             .ok_or_else(|| EcoError::InvalidEdit {
                 reason: format!("unknown instance `{name}`"),
             })?;
@@ -304,16 +304,15 @@ impl<'a> EcoSession<'a> {
         }
 
         // Re-extract exactly the touched rows (bit-identical to the slice
-        // of a full-design extraction) and diff contexts and classes.
+        // of a full-design extraction) and diff contexts and classes, both
+        // derived from that one extraction in grouped passes.
         let post_sites =
             self.placement
                 .device_sites_in_rows(&rows, &self.netlist, self.flow.library())?;
-        let new_contexts =
-            self.placement
-                .instance_contexts_in_rows(&rows, &self.netlist, self.flow.library())?;
+        let new_contexts = instance_contexts_in_sites(&post_sites);
+        let new_classes = classes_by_instance(&post_sites, self.flow);
         let mut dirty: Vec<usize> = Vec::new();
-        for &(i, ctx) in &new_contexts {
-            let classes = classes_of(i, &post_sites, self.flow);
+        for (&(i, ctx), classes) in new_contexts.iter().zip(new_classes) {
             let changed =
                 ctx != self.provenance.contexts[i] || classes != self.provenance.classes[i];
             if changed {
@@ -416,7 +415,8 @@ impl<'a> EcoSession<'a> {
         }
         drop(char_span);
 
-        // -- Timing dirt: cone-limited update, all six corners in parallel.
+        // -- Timing dirt: in-place updates of the corners with seeds, in
+        //    parallel.
         let timing_span = svt_obs::span("eco.timing");
         let arrivals_before: Vec<Vec<(String, f64)>> = self
             .corner_states()
@@ -425,48 +425,36 @@ impl<'a> EcoSession<'a> {
         // Traditional corners see only binding/load changes, which a cell
         // swap alone can cause; pure geometry edits are exact no-ops there.
         let trad_seeds: Vec<usize> = if cell_changed { vec![idx] } else { Vec::new() };
-        let aware_seeds = dirty.clone();
         if svt_obs::enabled() {
             svt_obs::counter!("eco.dirty.seeds")
-                .add((3 * trad_seeds.len() + 3 * aware_seeds.len()) as u64);
+                .add((3 * trad_seeds.len() + 3 * dirty.len()) as u64);
         }
-        let jobs: Vec<(&CellBinding, &StaState, &[usize])> = self
+        let jobs: Vec<(Mutex<&mut StaState>, &CellBinding, &[usize])> = self
             .provenance
             .traditional
-            .iter()
-            .map(|a| (&a.binding, &a.state, trad_seeds.as_slice()))
+            .iter_mut()
+            .map(|a| (a, trad_seeds.as_slice()))
             .chain(
                 self.provenance
                     .aware
-                    .iter()
-                    .map(|a| (&a.binding, &a.state, aware_seeds.as_slice())),
+                    .iter_mut()
+                    .map(|a| (a, dirty.as_slice())),
             )
+            .filter(|(_, seeds)| !seeds.is_empty())
+            .map(|(a, seeds)| (Mutex::new(&mut a.state), &a.binding, seeds))
             .collect();
         let netlist = &self.netlist;
-        let timing = &self.flow.options().timing;
         let scratch_pool = &self.scratch;
-        let results: Vec<(StaState, IncrementalStats)> =
-            try_par_map(&jobs, |&(binding, prev, seeds)| -> Result<_, EcoError> {
-                if seeds.is_empty() {
-                    return Ok((prev.clone(), IncrementalStats::default()));
-                }
-                let scratch = scratch_pool.checkout();
-                Ok(analyze_incremental_in(
-                    netlist, binding, timing, prev, seeds, &scratch,
-                )?)
-            })?;
+        let stats = try_par_map(&jobs, |(state, binding, seeds)| {
+            let scratch = scratch_pool.checkout();
+            let mut state = state
+                .lock()
+                .expect("each corner state is locked once, by its own job");
+            state.update(netlist, binding, seeds, &scratch)
+        })?;
         drop(jobs);
-        let mut forward_instances = 0;
-        let mut backward_nets = 0;
-        for (k, (state, stats)) in results.into_iter().enumerate() {
-            forward_instances += stats.forward_instances;
-            backward_nets += stats.backward_nets;
-            if k < 3 {
-                self.provenance.traditional[k].state = state;
-            } else {
-                self.provenance.aware[k - 3].state = state;
-            }
-        }
+        let forward_instances = stats.iter().map(|s| s.forward_instances).sum();
+        let backward_nets = stats.iter().map(|s| s.backward_nets).sum();
         drop(timing_span);
 
         // -- Rebuild the comparison and patch the audit in place through
@@ -689,16 +677,25 @@ impl<'a> EcoSession<'a> {
     }
 }
 
-/// The device classes of instance `i` from a row-scoped site extraction,
-/// device order — exactly what the full flow computes.
-fn classes_of(i: usize, sites: &[DeviceSite], flow: &SignoffFlow<'_>) -> Vec<DeviceClass> {
-    let mut classes: Vec<(usize, DeviceClass)> = sites
+/// The device classes of every instance in a row-scoped site extraction,
+/// in instance order (that of [`instance_contexts_in_sites`]), each in
+/// device order — exactly what the full flow computes, in one pass.
+fn classes_by_instance(sites: &[DeviceSite], flow: &SignoffFlow<'_>) -> Vec<Vec<DeviceClass>> {
+    let mut keyed: Vec<(usize, usize, DeviceClass)> = sites
         .iter()
-        .filter(|s| s.instance == i)
-        .map(|s| (s.device.0, classify_device_site(s, flow.options())))
+        .map(|s| {
+            (
+                s.instance,
+                s.device.0,
+                classify_device_site(s, flow.options()),
+            )
+        })
         .collect();
-    classes.sort_by_key(|&(d, _)| d);
-    classes.into_iter().map(|(_, c)| c).collect()
+    keyed.sort_unstable_by_key(|&(i, d, _)| (i, d));
+    keyed
+        .chunk_by(|a, b| a.0 == b.0)
+        .map(|group| group.iter().map(|&(_, _, c)| c).collect())
+        .collect()
 }
 
 /// Spacing values (bit-exact) present before xor after the edit — the

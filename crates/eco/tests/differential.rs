@@ -8,6 +8,9 @@
 //! after every successful edit, asserts
 //!
 //! * the six corner delays match bit-for-bit (`f64::to_bits`),
+//! * all six corner analyses match as whole states — every arrival,
+//!   slew, required time, load and arc delay, including internal ones no
+//!   endpoint sees — and so do their bindings (`==` is bit-exact on both),
 //! * `uncertainty_reduction_pct` matches bit-for-bit,
 //! * the audit trail renders to byte-identical text *and* JSON,
 //! * the [`DeltaReport`]'s delta audit splices into the pre-edit audit
@@ -22,7 +25,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use svt_core::{SignoffFlow, SignoffOptions};
+use svt_core::{CornerAnalysis, FlowProvenance, SignoffFlow, SignoffOptions};
 use svt_eco::{EcoEdit, EcoError, EcoSession};
 use svt_netlist::{generate_benchmark, technology_map, BenchmarkProfile};
 use svt_place::{place, PlacementOptions};
@@ -109,6 +112,11 @@ fn random_edit(rng: &mut SmallRng, session: &EcoSession<'_>, library: &Library) 
     }
 }
 
+/// The six corner analyses in audit slot order: traditional, then aware.
+fn corners(p: &FlowProvenance) -> impl Iterator<Item = &CornerAnalysis> {
+    p.traditional.iter().chain(&p.aware)
+}
+
 /// Runs one full random-edit scenario and cross-checks every edit
 /// against a from-scratch rebuild.
 fn run_scenario(seed: u64, label: &str) {
@@ -187,6 +195,21 @@ fn run_scenario(seed: u64, label: &str) {
                 inc.to_bits(),
                 fresh.to_bits(),
                 "{ctx}: corner slot {which} diverged ({inc} vs {fresh})"
+            );
+        }
+        // `assert!`, not `assert_eq!`: a failure should name the slot, not
+        // print two whole states.
+        for (slot, (inc, fresh)) in corners(session.provenance())
+            .zip(corners(&full))
+            .enumerate()
+        {
+            assert!(
+                inc.state == fresh.state,
+                "{ctx}: corner slot {slot} timing state diverged"
+            );
+            assert!(
+                inc.binding == fresh.binding,
+                "{ctx}: corner slot {slot} binding diverged"
             );
         }
         assert_eq!(

@@ -1,4 +1,6 @@
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
@@ -44,13 +46,35 @@ impl MappedInstance {
 /// assert_eq!(mapped.instances()[0].cell, "INVX1");
 /// # Ok::<(), svt_netlist::NetlistError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MappedNetlist {
     name: String,
     inputs: Vec<String>,
     outputs: Vec<String>,
     instances: Vec<MappedInstance>,
+    /// See [`MappedNetlist::stamp`].
+    stamp: u64,
+    /// Instance indices sorted by instance name, built by the first
+    /// lookup by name. Names never change after construction.
+    by_name: OnceLock<Vec<u32>>,
 }
+
+/// The next [`MappedNetlist::stamp`]; stamps are never reused. `Relaxed`
+/// suffices: `fetch_add` alone keeps them unique, and a stamp publishes
+/// no other data.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
+
+/// Equality of the designs; the stamp and the name index are bookkeeping.
+impl PartialEq for MappedNetlist {
+    fn eq(&self, other: &MappedNetlist) -> bool {
+        self.name == other.name
+            && self.inputs == other.inputs
+            && self.outputs == other.outputs
+            && self.instances == other.instances
+    }
+}
+
+impl Eq for MappedNetlist {}
 
 impl MappedNetlist {
     /// Creates and validates a mapped netlist against a library.
@@ -71,6 +95,8 @@ impl MappedNetlist {
             inputs,
             outputs,
             instances,
+            stamp: NEXT_STAMP.fetch_add(1, Ordering::Relaxed),
+            by_name: OnceLock::new(),
         };
         netlist.validate(library)?;
         Ok(netlist)
@@ -153,9 +179,7 @@ impl MappedNetlist {
         library: &Library,
     ) -> Result<usize, NetlistError> {
         let idx = self
-            .instances
-            .iter()
-            .position(|i| i.name == instance)
+            .instance_index(instance)
             .ok_or_else(|| NetlistError::InvalidNetlist {
                 reason: format!("unknown instance `{instance}`"),
             })?;
@@ -209,7 +233,42 @@ impl MappedNetlist {
     /// An instance by name.
     #[must_use]
     pub fn instance(&self, name: &str) -> Option<&MappedInstance> {
-        self.instances.iter().find(|i| i.name == name)
+        self.instance_index(name).map(|idx| &self.instances[idx])
+    }
+
+    /// The index of the instance named `name`: a binary search of a
+    /// name-sorted index (4 bytes per instance) that the first call
+    /// builds.
+    #[must_use]
+    pub fn instance_index(&self, name: &str) -> Option<usize> {
+        let by_name = self.by_name.get_or_init(|| {
+            let mut ids: Vec<u32> = (0..self.instances.len())
+                .map(|idx| u32::try_from(idx).expect("instance count fits u32"))
+                .collect();
+            ids.sort_unstable_by(|&a, &b| {
+                self.instances[a as usize]
+                    .name
+                    .cmp(&self.instances[b as usize].name)
+            });
+            ids
+        });
+        by_name
+            .binary_search_by(|&id| self.instances[id as usize].name.as_str().cmp(name))
+            .ok()
+            .map(|k| by_name[k] as usize)
+    }
+
+    /// A process-unique id of this netlist's connectivity.
+    /// [`MappedNetlist::new`] draws a fresh one, `Clone` copies it, and
+    /// [`MappedNetlist::swap_cell`], the only mutator, keeps it, since it
+    /// changes no connection. Two netlists with one stamp therefore have
+    /// the same inputs, outputs, instances and `(pin, net)` connections,
+    /// in the same order: comparing stamps proves in O(1) that an
+    /// interned copy of the connectivity is still valid. Equality ignores
+    /// the stamp.
+    #[must_use]
+    pub fn stamp(&self) -> u64 {
+        self.stamp
     }
 
     /// For every net: the `(instance index, input pin)` sinks, keyed by net
@@ -376,5 +435,36 @@ mod tests {
         // Unknown instance / cell.
         assert!(m.swap_cell("ghost", "INVX1", &library).is_err());
         assert!(m.swap_cell("u1", "GHOST", &library).is_err());
+    }
+
+    #[test]
+    fn stamp_follows_connectivity_and_equality_ignores_it() {
+        let library = lib();
+        let build = || {
+            MappedNetlist::new(
+                "t",
+                vec!["a".into(), "b".into()],
+                vec!["z".into()],
+                vec![
+                    inst("u2", "NAND2X1", &[("A", "a"), ("B", "b"), ("Z", "n1")]),
+                    inst("u1", "INVX1", &[("A", "n1"), ("Z", "z")]),
+                ],
+                &library,
+            )
+            .unwrap()
+        };
+        let m = build();
+        let twin = build();
+        assert_eq!(m, twin, "equal designs compare equal");
+        assert_ne!(m.stamp(), twin.stamp(), "each construction is stamped anew");
+        let mut copy = m.clone();
+        copy.swap_cell("u1", "INVX2", &library).unwrap();
+        assert_eq!(copy.stamp(), m.stamp(), "clone and swap keep the stamp");
+        assert_ne!(copy, m);
+        // The name index finds every instance, and nothing else.
+        assert_eq!(m.instance_index("u2"), Some(0));
+        assert_eq!(m.instance_index("u1"), Some(1));
+        assert_eq!(m.instance_index("u3"), None);
+        assert_eq!(copy.instance("u1").unwrap().cell, "INVX2");
     }
 }

@@ -36,5 +36,5 @@ mod nps;
 mod placer;
 
 pub use error::PlaceError;
-pub use nps::{instance_contexts_from_sites, DeviceSite, InstanceNps};
+pub use nps::{instance_contexts_from_sites, instance_contexts_in_sites, DeviceSite, InstanceNps};
 pub use placer::{place, PlacedInstance, Placement, PlacementOptions, PlacementRow};

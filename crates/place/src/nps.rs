@@ -155,14 +155,9 @@ impl Placement {
         netlist: &MappedNetlist,
         library: &Library,
     ) -> Result<Vec<(usize, CellContext)>, PlaceError> {
-        let sites = self.device_sites_in_rows(rows, netlist, library)?;
-        let mut idxs: Vec<usize> = sites.iter().map(|s| s.instance).collect();
-        idxs.sort_unstable();
-        idxs.dedup();
-        Ok(idxs
-            .into_iter()
-            .map(|idx| (idx, instance_nps_from_sites(idx, &sites).context()))
-            .collect())
+        Ok(instance_contexts_in_sites(
+            &self.device_sites_in_rows(rows, netlist, library)?,
+        ))
     }
 
     /// Flattens one row's devices (both regions) with absolute spans and
@@ -265,16 +260,48 @@ pub fn instance_contexts_from_sites(instances: usize, sites: &[DeviceSite]) -> V
         .collect()
 }
 
-/// Grouped boundary-device aggregation: one pass over the full site list
-/// computing every instance's four corner spacings, replacing the
-/// per-instance O(sites) filter (O(instances × sites) total) of
-/// [`instance_nps_from_sites`].
+/// The placement contexts of every instance with a site in `sites` — a
+/// row-scoped extraction such as [`Placement::device_sites_in_rows`]
+/// returns — as `(instance index, context)` pairs sorted by instance
+/// index. One grouped O(sites · log instances) pass; bit-identical to
+/// [`Placement::instance_contexts`] for the covered instances when the
+/// listed rows are extracted whole.
+#[must_use]
+pub fn instance_contexts_in_sites(sites: &[DeviceSite]) -> Vec<(usize, CellContext)> {
+    let mut idxs: Vec<usize> = sites.iter().map(|s| s.instance).collect();
+    idxs.sort_unstable();
+    idxs.dedup();
+    let nps = grouped_nps(idxs.len(), sites, |instance| {
+        idxs.binary_search(&instance)
+            .expect("every site's instance is listed")
+    });
+    idxs.iter()
+        .zip(&nps)
+        .map(|(&idx, nps)| (idx, nps.context()))
+        .collect()
+}
+
+/// Every instance's four corner spacings from a full-design site list,
+/// indexed by instance.
+fn instance_nps_from_all_sites(instances: usize, sites: &[DeviceSite]) -> Vec<InstanceNps> {
+    grouped_nps(instances, sites, |instance| instance)
+}
+
+/// Grouped boundary-device aggregation: one pass over a site list
+/// computing the four corner spacings of each of `slots` instances,
+/// where `slot_of` maps a site's instance index to its output slot — one
+/// O(sites) pass, where filtering the list per instance would cost
+/// O(instances × sites).
 ///
-/// Tie semantics match `Iterator::min_by`/`max_by` on the filtered
-/// per-instance list: among equal leftmost spans the *first* site in
+/// Tie semantics match `Iterator::min_by`/`max_by` on each instance's
+/// filtered site list: among equal leftmost spans the *first* site in
 /// order wins (strict less to replace), among equal rightmost spans the
 /// *last* wins (replace on greater-or-equal).
-fn instance_nps_from_all_sites(instances: usize, sites: &[DeviceSite]) -> Vec<InstanceNps> {
+fn grouped_nps(
+    slots: usize,
+    sites: &[DeviceSite],
+    slot_of: impl Fn(usize) -> usize,
+) -> Vec<InstanceNps> {
     use std::cmp::Ordering;
 
     #[derive(Clone, Copy)]
@@ -292,14 +319,14 @@ fn instance_nps_from_all_sites(instances: usize, sites: &[DeviceSite]) -> Vec<In
         right_key: 0.0,
         right_space: None,
     };
-    // [P, N] ends per instance.
-    let mut ends = vec![[EMPTY; 2]; instances];
+    // [P, N] ends per slot.
+    let mut ends = vec![[EMPTY; 2]; slots];
     for s in sites {
         let r = match s.region {
             Region::P => 0,
             Region::N => 1,
         };
-        let e = &mut ends[s.instance][r];
+        let e = &mut ends[slot_of(s.instance)][r];
         if !e.occupied {
             *e = Ends {
                 occupied: true,
@@ -329,50 +356,50 @@ fn instance_nps_from_all_sites(instances: usize, sites: &[DeviceSite]) -> Vec<In
         .collect()
 }
 
-/// Boundary-device aggregation of one instance's sites: the leftmost /
-/// rightmost device per region supplies the four corner spacings. Kept
-/// for row-scoped (ECO) extraction, where the site list is small.
-fn instance_nps_from_sites(idx: usize, sites: &[DeviceSite]) -> InstanceNps {
-    let mut nps = InstanceNps {
-        lt: None,
-        rt: None,
-        lb: None,
-        rb: None,
-    };
-    for region in [Region::P, Region::N] {
-        let row_devices: Vec<&DeviceSite> = sites
-            .iter()
-            .filter(|s| s.instance == idx && s.region == region)
-            .collect();
-        let Some(leftmost) = row_devices
-            .iter()
-            .min_by(|a, b| a.span_abs.0.total_cmp(&b.span_abs.0))
-        else {
-            continue;
-        };
-        let rightmost = row_devices
-            .iter()
-            .max_by(|a, b| a.span_abs.1.total_cmp(&b.span_abs.1))
-            .expect("nonempty");
-        match region {
-            Region::P => {
-                nps.lt = leftmost.left_space;
-                nps.rt = rightmost.right_space;
-            }
-            Region::N => {
-                nps.lb = leftmost.left_space;
-                nps.rb = rightmost.right_space;
-            }
-        }
-    }
-    nps
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{place, PlacementOptions};
     use svt_netlist::{generate_benchmark, technology_map, BenchmarkProfile};
+
+    /// Reference for the grouped pass: one instance's sites filtered out
+    /// of the list, whose leftmost / rightmost device per region supplies
+    /// the four corner spacings.
+    fn instance_nps_from_sites(idx: usize, sites: &[DeviceSite]) -> InstanceNps {
+        let mut nps = InstanceNps {
+            lt: None,
+            rt: None,
+            lb: None,
+            rb: None,
+        };
+        for region in [Region::P, Region::N] {
+            let row_devices: Vec<&DeviceSite> = sites
+                .iter()
+                .filter(|s| s.instance == idx && s.region == region)
+                .collect();
+            let Some(leftmost) = row_devices
+                .iter()
+                .min_by(|a, b| a.span_abs.0.total_cmp(&b.span_abs.0))
+            else {
+                continue;
+            };
+            let rightmost = row_devices
+                .iter()
+                .max_by(|a, b| a.span_abs.1.total_cmp(&b.span_abs.1))
+                .expect("nonempty");
+            match region {
+                Region::P => {
+                    nps.lt = leftmost.left_space;
+                    nps.rt = rightmost.right_space;
+                }
+                Region::N => {
+                    nps.lb = leftmost.left_space;
+                    nps.rb = rightmost.right_space;
+                }
+            }
+        }
+        nps
+    }
 
     fn setup() -> (MappedNetlist, Library, Placement) {
         let lib = Library::svt90();

@@ -1,3 +1,5 @@
+use std::sync::OnceLock;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -55,11 +57,22 @@ pub struct PlacementRow {
 }
 
 /// A row-based placement of a mapped netlist.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Placement {
     design: String,
     placed: Vec<PlacedInstance>,
     rows: Vec<PlacementRow>,
+    /// Per netlist instance index, its index into `placed` (`u32::MAX`
+    /// when unplaced), built by the first lookup. Edits move and re-master
+    /// placed records but never reorder `placed`.
+    slots: OnceLock<Vec<u32>>,
+}
+
+/// Equality of the placements; the lookup index is bookkeeping.
+impl PartialEq for Placement {
+    fn eq(&self, other: &Placement) -> bool {
+        self.design == other.design && self.placed == other.placed && self.rows == other.rows
+    }
 }
 
 impl Placement {
@@ -72,6 +85,7 @@ impl Placement {
             design,
             placed,
             rows,
+            slots: OnceLock::new(),
         }
     }
 
@@ -101,7 +115,30 @@ impl Placement {
     /// The placed record of a netlist instance index, if placed.
     #[must_use]
     pub fn of_instance(&self, instance: usize) -> Option<&PlacedInstance> {
-        self.placed.iter().find(|p| p.instance == instance)
+        self.slot(instance).map(|p_idx| &self.placed[p_idx])
+    }
+
+    /// The index into [`Placement::placed`] of a netlist instance index:
+    /// one read of an index (4 bytes per instance) that the first call
+    /// builds. An instance placed twice resolves to its first record.
+    fn slot(&self, instance: usize) -> Option<usize> {
+        let slots = self.slots.get_or_init(|| {
+            let len = self
+                .placed
+                .iter()
+                .map(|p| p.instance + 1)
+                .max()
+                .unwrap_or(0);
+            let mut slots = vec![u32::MAX; len];
+            for (p_idx, p) in self.placed.iter().enumerate().rev() {
+                slots[p.instance] = u32::try_from(p_idx).expect("placed count fits u32");
+            }
+            slots
+        });
+        match slots.get(instance) {
+            Some(&p_idx) if p_idx != u32::MAX => Some(p_idx as usize),
+            _ => None,
+        }
     }
 
     /// Records a new cell master for a placed instance (ECO cell swap).
@@ -160,12 +197,9 @@ impl Placement {
     }
 
     fn placed_index(&self, instance: usize) -> Result<usize, PlaceError> {
-        self.placed
-            .iter()
-            .position(|p| p.instance == instance)
-            .ok_or_else(|| PlaceError::InvalidEdit {
-                reason: format!("instance index {instance} is not placed"),
-            })
+        self.slot(instance).ok_or_else(|| PlaceError::InvalidEdit {
+            reason: format!("instance index {instance} is not placed"),
+        })
     }
 
     /// Achieved utilization: total cell width over total row extent.

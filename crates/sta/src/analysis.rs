@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 
 use svt_exec::ScratchArena;
 use svt_netlist::MappedNetlist;
-use svt_stdcell::Library;
+use svt_stdcell::{CharacterizedCell, Library, Pin};
 
 use crate::incremental::{SharedTopology, StaState, Topology};
 use crate::report::{FromRef, TimingReport};
@@ -89,8 +89,7 @@ pub fn analyze_with_wire_caps(
 
 /// Like [`analyze`], but returns the full [`StaState`] (report plus the
 /// net loads, per-arc delays, and completion order) so the analysis can
-/// later be advanced incrementally with
-/// [`analyze_incremental`](crate::analyze_incremental).
+/// later be re-timed in place with [`StaState::update`].
 ///
 /// # Errors
 ///
@@ -122,10 +121,11 @@ pub fn analyze_full_with_wire_caps(
 
 /// [`analyze_full`] against a pre-built [`SharedTopology`] and a
 /// caller-provided [`ScratchArena`] — the hot-path entry point. The
-/// topology is verified (O(connections), no allocation) rather than
+/// topology is verified ([`SharedTopology::verify`]: a stamp comparison
+/// and one output-pin check per instance, no allocation) rather than
 /// rebuilt, and the pass's temporaries are carved from `scratch` instead
 /// of the heap, so repeated warm analyses of the same design (the six
-/// sign-off corners, ECO re-timing) allocate only their result vectors.
+/// sign-off corners) allocate only their result vectors.
 ///
 /// # Errors
 ///
@@ -162,7 +162,11 @@ fn analyze_soa(
     svt_obs::instant("sta.wave");
     let n = netlist.instances().len();
     let net_count = topo.net_names.len();
-    let (loads, extra_loads) = compute_loads(netlist, binding, options, wire_caps_pf, topo)?;
+    let (wire_caps, extra_loads) = intern_wire_caps(wire_caps_pf, topo)?;
+    let mut loads = vec![0.0_f64; net_count];
+    sum_loads(
+        netlist, binding, options, topo, &wire_caps, None, &mut loads,
+    );
 
     // Net timing state: one lane per quantity, indexed by net id.
     let mut arrival = vec![0.0_f64; net_count];
@@ -301,15 +305,17 @@ fn analyze_soa(
         required,
         has_required,
     );
-    Ok(StaState::new(
+    Ok(StaState {
         report,
+        options: *options,
+        wire_caps,
         loads,
         extra_loads,
         arc_offsets,
         arc_data,
         completion_order,
-        Arc::clone(topo),
-    ))
+        topo: Arc::clone(topo),
+    })
 }
 
 /// Boundary-condition and binding-shape checks shared by the full and
@@ -335,72 +341,111 @@ pub(crate) fn validate(
     Ok(())
 }
 
-/// Net loads (indexed by topology net id): sink pin caps + wire cap per
-/// fanout + PO load + explicit wire caps, accumulated in instance
-/// order. Wire caps on nets outside the netlist come back separately
-/// (sorted by name) — nothing in the design can observe them.
-///
-/// The incremental analysis recomputes this vector from scratch on
-/// every update and bit-diffs it against the previous one: summation
-/// order is the only order-sensitive floating-point arithmetic in the
-/// timer, so sharing this exact accumulation sequence is what makes
-/// incremental results bit-identical to a full rebuild.
+/// Splits explicit wire caps (pF) into the ones on netlist nets, sorted
+/// by net id, and the ones on nets outside the netlist, sorted by name —
+/// nothing in the design can observe the latter.
 #[allow(clippy::type_complexity)]
-pub(crate) fn compute_loads(
-    netlist: &MappedNetlist,
-    binding: &CellBinding,
-    options: &TimingOptions,
+fn intern_wire_caps(
     wire_caps_pf: &HashMap<String, f64>,
     topo: &Topology,
-) -> Result<(Vec<f64>, Vec<(String, f64)>), StaError> {
-    let mut loads = vec![0.0_f64; topo.net_names.len()];
-    for (idx, inst) in netlist.instances().iter().enumerate() {
-        let cell = binding.cell(idx);
-        for pin in &cell.pins {
-            if pin.capacitance_pf > 0.0 {
-                if let Some(conn) = inst.connections.iter().position(|(p, _)| *p == pin.name) {
-                    loads[topo.conn_ids[idx][conn] as usize] +=
-                        pin.capacitance_pf + options.wire_cap_per_fanout_pf;
-                }
-            }
-        }
-    }
-    for &po in &topo.po_ids {
-        loads[po as usize] += options.output_load_pf;
-    }
+) -> Result<(Vec<(u32, f64)>, Vec<(String, f64)>), StaError> {
+    let mut inside: Vec<(u32, f64)> = Vec::new();
     let mut extra: Vec<(String, f64)> = Vec::new();
-    for (net, cap) in wire_caps_pf {
-        if *cap < 0.0 {
+    for (net, &cap) in wire_caps_pf {
+        if cap < 0.0 {
             return Err(StaError::InvalidOptions {
                 reason: format!("negative wire cap on net `{net}`"),
             });
         }
         match topo.net_ids.get(net) {
-            Some(&id) => loads[id as usize] += cap,
-            None => extra.push((net.clone(), *cap)),
+            Some(&id) => inside.push((id, cap)),
+            None => extra.push((net.clone(), cap)),
         }
     }
+    inside.sort_by_key(|&(id, _)| id);
     extra.sort_by(|a, b| a.0.cmp(&b.0));
-    Ok((loads, extra))
+    Ok((inside, extra))
 }
 
-/// The number of connected input pins of one bound instance — exactly
-/// the number of arcs its evaluation produces, which makes the CSR arc
-/// layout computable without evaluating anything.
-pub(crate) fn connected_input_pins(
+/// Sums net loads (pF) into `loads`: every net when `nets` is `None`
+/// (then `loads` must be all zero), else just the listed nets (sorted,
+/// distinct), which it resets first. Each net's terms are added in one
+/// fixed order: each sink pin's capacitance plus the per-fanout wire lump
+/// in ascending instance order and, within an instance, pin order; then
+/// the primary-output load once per listing; then the net's explicit
+/// wire cap (`wire_caps` sorted by net id).
+///
+/// The full analysis sums every net through this routine and
+/// [`StaState::update`] only the nets a re-bound instance samples. The
+/// sum is the only order-sensitive floating-point arithmetic in the
+/// timer, so sharing it is what makes incremental loads bit-identical to
+/// a full rebuild.
+pub(crate) fn sum_loads(
     netlist: &MappedNetlist,
     binding: &CellBinding,
-    idx: usize,
-) -> usize {
-    let inst = &netlist.instances()[idx];
-    binding
-        .cell(idx)
-        .pins
-        .iter()
-        .filter(|pin| {
-            pin.capacitance_pf > 0.0 && inst.connections.iter().any(|(p, _)| *p == pin.name)
-        })
-        .count()
+    options: &TimingOptions,
+    topo: &Topology,
+    wire_caps: &[(u32, f64)],
+    nets: Option<&[u32]>,
+    loads: &mut [f64],
+) {
+    let selected = |net: u32| nets.is_none_or(|list| list.binary_search(&net).is_ok());
+    let add_pins = |u: usize, loads: &mut [f64]| {
+        let inst = &netlist.instances()[u];
+        for pin in &binding.cell(u).pins {
+            if pin.capacitance_pf <= 0.0 {
+                continue;
+            }
+            if let Some(conn) = inst.connections.iter().position(|(p, _)| *p == pin.name) {
+                let net = topo.conn_ids[u][conn];
+                if selected(net) {
+                    loads[net as usize] += pin.capacitance_pf + options.wire_cap_per_fanout_pf;
+                }
+            }
+        }
+    };
+    let add_terms = |net: u32, loads: &mut [f64]| {
+        let load = &mut loads[net as usize];
+        for _ in 0..topo.po_count[net as usize] {
+            *load += options.output_load_pf;
+        }
+        if let Ok(k) = wire_caps.binary_search_by_key(&net, |&(id, _)| id) {
+            *load += wire_caps[k].1;
+        }
+    };
+    match nets {
+        None => {
+            for u in 0..netlist.instances().len() {
+                add_pins(u, loads);
+            }
+            for net in 0..topo.net_names.len() {
+                add_terms(u32::try_from(net).expect("net count fits u32"), loads);
+            }
+        }
+        Some(list) => {
+            let mut sinks: Vec<u32> = list
+                .iter()
+                .flat_map(|&net| topo.users_of[net as usize].iter().copied())
+                .collect();
+            sinks.sort_unstable();
+            sinks.dedup();
+            for &net in list {
+                loads[net as usize] = 0.0;
+            }
+            for &u in &sinks {
+                add_pins(u as usize, loads);
+            }
+            for &net in list {
+                add_terms(net, loads);
+            }
+        }
+    }
+}
+
+/// A variant's output pin: its first zero-capacitance pin, the role
+/// convention of the whole timer.
+pub(crate) fn output_pin(cell: &CharacterizedCell) -> Option<&Pin> {
+    cell.pins.iter().find(|p| p.capacitance_pf == 0.0)
 }
 
 /// The timing of one evaluated instance's output net.
@@ -422,7 +467,7 @@ pub(crate) struct EvalScratch {
 /// Evaluates one instance against resolved upstream net timings: arc
 /// delay/slew lookups, worst-slew merge, and the arrival pick. Pure in
 /// `(binding.cell(idx), upstream timings, loads)` — the incremental
-/// analysis re-runs exactly this function for dirty instances, which is
+/// update re-runs exactly this function for dirty instances, which is
 /// why cone-limited recomputation is bit-identical to a full pass.
 ///
 /// Arcs are left in `eval.arcs` (one per connected input pin, in

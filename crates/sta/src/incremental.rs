@@ -1,49 +1,48 @@
-//! Cone-limited incremental timing analysis.
+//! In-place incremental timing analysis.
 //!
 //! [`analyze_full`](crate::analyze_full) returns a [`StaState`] — the
 //! timing report plus the internal products a re-analysis needs (the
-//! interned netlist topology, net loads, per-arc delays, completion
-//! order). [`analyze_incremental`] advances that state after a small
-//! netlist/binding edit by recomputing only the affected cones:
+//! interned netlist topology, the options and wire caps it ran with, net
+//! loads, per-arc delays, completion order). [`StaState::update`]
+//! re-times that state in place after an edit re-bound some instances,
+//! writing only what changed:
 //!
-//! * **forward (fan-out) cone** — arrival times and slews of every net
-//!   reachable from a changed instance,
-//! * **backward (fan-in) cone** — required times of every net from which
-//!   a changed instance is reachable.
+//! * **loads** — only the nets a re-bound instance samples,
+//! * **forward** — arrivals and slews of the instances whose inputs
+//!   really changed: an evaluated instance flags its users only when the
+//!   bits of its output arrival or slew moved,
+//! * **backward** — required times of the fan-in cone of the evaluated
+//!   instances.
 //!
 //! The result is *bit-identical* to a from-scratch
 //! [`analyze`](crate::analyze) of the edited design, by construction:
 //!
 //! 1. Per-instance evaluation is a pure function of the bound variant,
-//!    the upstream net timings, and the output load — dirty instances
-//!    re-run exactly the shared evaluation routine, in a valid
-//!    topological order (the stored completion order; edits never change
-//!    connectivity).
-//! 2. Arrival/required merges are max/min *selections*, which are
-//!    order-insensitive for the non-NaN values the timer produces.
-//! 3. The only order-sensitive floating-point arithmetic in the timer is
-//!    the net-load accumulation — so the load vector is recomputed from
-//!    scratch in the canonical order on every update (O(pins), cheap)
-//!    and bit-diffed against the previous one to discover nets whose
-//!    drivers must be re-evaluated (e.g. a cell swap changing input pin
-//!    capacitance slows the *upstream* driver).
+//!    the upstream net timings, and the output load — an instance whose
+//!    inputs, load and variant kept their bits keeps its outputs, and the
+//!    instances that are re-evaluated re-run exactly the shared
+//!    evaluation routine, in a valid topological order (the stored
+//!    completion order; a [`MappedNetlist::stamp`] match proves the
+//!    connectivity it was computed for is unchanged).
+//! 2. Required-time merges replay every contribution into a recomputed
+//!    net in the full pass's order (reverse completion order).
+//! 3. Net loads are the only other order-sensitive arithmetic, and the
+//!    full and the incremental analysis sum each net through one routine
+//!    ([`sum_loads`](crate::analysis::sum_loads)) in one fixed order.
 //!
-//! Everything the per-update passes touch repeatedly is integer-keyed:
-//! [`Topology`] interns net names once per full analysis, and all timing
-//! state lives in flat id-indexed vectors (see
-//! [`TimingReport`]), so the incremental path does no string hashing
-//! beyond an O(connections) equality sweep that verifies connectivity is
-//! unchanged. Per-update temporaries (seed flags, cone marks, the DFS
-//! stack) are carved from a caller-supplied
-//! [`ScratchArena`](svt_exec::ScratchArena) — warm updates through
-//! [`analyze_incremental_in`] touch the heap only for the cloned result
-//! vectors. That keeps the per-update fixed cost small enough for the
-//! `svt-eco` latency target (a single-cell ECO must re-sign-off ≥ 10×
-//! faster than a warm full rebuild).
+//! Everything an update touches is integer-keyed: [`Topology`] interns
+//! net names once per full analysis, and all timing state lives in flat
+//! id-indexed vectors (see [`TimingReport`]). An update's fixed cost is
+//! the pin-role check of the re-bound instances and linear flag scans
+//! over the stored completion order; its flag arrays come from a
+//! caller-supplied [`ScratchArena`](svt_exec::ScratchArena) (only the
+//! few touched nets and their sinks are listed on the heap), and nothing
+//! is cloned.
 //!
-//! The equivalence is enforced by the `svt-eco` differential test, which
-//! compares incremental sessions against full rebuilds bit-for-bit
-//! across `SVT_THREADS` settings.
+//! The equivalence is enforced by `tests/soa_equivalence.rs` (whole
+//! states, chained updates) and by the `svt-eco` differential test, which
+//! compares incremental sessions against full rebuilds bit-for-bit across
+//! `SVT_THREADS` settings.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -51,20 +50,20 @@ use std::sync::Arc;
 use svt_exec::ScratchArena;
 use svt_netlist::MappedNetlist;
 
-use crate::analysis::{
-    compute_loads, connected_input_pins, evaluate_instance, validate, EvalScratch,
-};
+use crate::analysis::{evaluate_instance, output_pin, sum_loads, EvalScratch};
 use crate::report::TimingReport;
 use crate::{CellBinding, StaError, TimingOptions};
 
 /// The netlist connectivity with every net name interned to a dense id,
 /// plus the instance⇄net relations every timing pass walks. Built once
 /// (see [`SharedTopology::build`]) and shared (via [`Arc`]) by every
-/// state advanced from it — edits that qualify for incremental analysis
-/// never change connectivity, so the topology never goes stale (and
-/// [`Topology::verify`] rejects states whose netlist did change).
-#[derive(Debug, Clone, PartialEq)]
+/// state advanced from it. It records the [`MappedNetlist::stamp`] it was
+/// interned from, so [`Topology::verify`] proves in O(1) that a netlist
+/// still has this connectivity.
+#[derive(Debug, Clone)]
 pub(crate) struct Topology {
+    /// The stamp of the netlist this topology was interned from.
+    pub(crate) stamp: u64,
     /// Design name, carried so reports need no netlist back-reference.
     pub(crate) design: String,
     /// Interned net names; `net_names[id]` is the name of net `id`.
@@ -80,16 +79,41 @@ pub(crate) struct Topology {
     pub(crate) conn_pins: Vec<Vec<u16>>,
     /// Per instance, the net id its output pin drives.
     pub(crate) out_net: Vec<u32>,
+    /// Per instance, the pin-name id of its output pin: the pin role the
+    /// instance⇄net relations were built with.
+    pub(crate) out_pin: Vec<u16>,
     /// Per net, the driving instance (`u32::MAX` for primary inputs and
     /// undriven nets).
     pub(crate) driver_of: Vec<u32>,
-    /// Per net, the sink instances — one entry per connected *input
-    /// pin*, so an instance sampling a net twice appears twice (the
-    /// levelizer counts pins, not distinct nets).
+    /// Per net, the sink instances in ascending order — one entry per
+    /// connected *input pin*, so an instance sampling a net twice appears
+    /// twice (the levelizer counts pins, not distinct nets).
     pub(crate) users_of: Vec<Vec<u32>>,
     /// Primary-output net ids, in `netlist.outputs()` order.
     pub(crate) po_ids: Vec<u32>,
+    /// Per net, how often `netlist.outputs()` lists it.
+    pub(crate) po_count: Vec<u32>,
 }
+
+/// Equality of what the ids mean. The stamp only names the netlist value
+/// the ids were interned from, so two builds from equal netlists compare
+/// equal.
+impl PartialEq for Topology {
+    fn eq(&self, other: &Topology) -> bool {
+        self.design == other.design
+            && self.net_names == other.net_names
+            && self.pin_names == other.pin_names
+            && self.conn_ids == other.conn_ids
+            && self.conn_pins == other.conn_pins
+            && self.out_net == other.out_net
+            && self.out_pin == other.out_pin
+            && self.driver_of == other.driver_of
+            && self.users_of == other.users_of
+            && self.po_ids == other.po_ids
+    }
+}
+
+impl Eq for Topology {}
 
 impl Topology {
     /// Interns the bound netlist. Pin roles come from the binding: the
@@ -131,6 +155,10 @@ impl Topology {
             .iter()
             .map(|po| intern(po, &mut net_names))
             .collect();
+        let mut po_count = vec![0u32; net_names.len()];
+        for &po in &po_ids {
+            po_count[po as usize] += 1;
+        }
 
         // Pin names recur across the whole design (a handful per
         // library), so a linear probe beats hashing.
@@ -152,28 +180,26 @@ impl Topology {
         }
 
         let mut out_net: Vec<u32> = Vec::with_capacity(n);
+        let mut out_pin: Vec<u16> = Vec::with_capacity(n);
         let mut driver_of: Vec<u32> = vec![u32::MAX; net_names.len()];
         let mut users_of: Vec<Vec<u32>> = vec![Vec::new(); net_names.len()];
         for (idx, inst) in netlist.instances().iter().enumerate() {
             let cell = binding.cell(idx);
-            let out_pin = cell
-                .pins
-                .iter()
-                .find(|p| p.capacitance_pf == 0.0)
-                .ok_or_else(|| StaError::MissingTiming {
-                    instance: inst.name.clone(),
-                    reason: "variant has no output pin".into(),
-                })?;
+            let out = output_pin(cell).ok_or_else(|| StaError::MissingTiming {
+                instance: inst.name.clone(),
+                reason: "variant has no output pin".into(),
+            })?;
             let out_conn = inst
                 .connections
                 .iter()
-                .position(|(pin, _)| *pin == out_pin.name)
+                .position(|(pin, _)| *pin == out.name)
                 .ok_or_else(|| StaError::MissingTiming {
                     instance: inst.name.clone(),
                     reason: "output pin unconnected".into(),
                 })?;
             let out_id = conn_ids[idx][out_conn];
             out_net.push(out_id);
+            out_pin.push(conn_pins[idx][out_conn]);
             driver_of[out_id as usize] = u32::try_from(idx).expect("instance count fits u32");
             for pin in &cell.pins {
                 if pin.capacitance_pf <= 0.0 {
@@ -193,6 +219,7 @@ impl Topology {
         }
 
         Ok(Topology {
+            stamp: netlist.stamp(),
             design: netlist.name().to_string(),
             net_names,
             net_ids,
@@ -200,9 +227,11 @@ impl Topology {
             conn_ids,
             conn_pins,
             out_net,
+            out_pin,
             driver_of,
             users_of,
             po_ids,
+            po_count,
         })
     }
 
@@ -212,53 +241,106 @@ impl Topology {
     }
 
     /// Checks that `netlist`/`binding` still have the connectivity this
-    /// topology was interned from: same instance count, same `(pin,
-    /// net)` connections, and each bound variant's output pin still
-    /// drives the recorded net. O(connections) string *equality* — no
-    /// hashing, no allocation.
+    /// topology was interned from: the netlist carries the recorded
+    /// stamp (O(1)), the binding covers it, and each bound variant's
+    /// output pin is still the recorded one (one pin-name comparison per
+    /// instance against the interned name).
     pub(crate) fn verify(
         &self,
         netlist: &MappedNetlist,
         binding: &CellBinding,
     ) -> Result<(), StaError> {
-        let stale = |reason: &str| StaError::InvalidBinding {
-            reason: format!("incremental state is stale: {reason}"),
-        };
-        if netlist.instances().len() != self.conn_ids.len() {
-            return Err(stale("instance count changed"));
+        self.check_stamp(netlist)?;
+        if binding.cells().len() != self.out_pin.len() {
+            return Err(StaError::InvalidBinding {
+                reason: "binding does not cover the netlist".into(),
+            });
         }
-        for (idx, inst) in netlist.instances().iter().enumerate() {
-            let ids = &self.conn_ids[idx];
-            if inst.connections.len() != ids.len() {
-                return Err(stale(&format!("connections of `{}` changed", inst.name)));
-            }
-            for ((_, net), &id) in inst.connections.iter().zip(ids) {
-                if self.net_names[id as usize] != *net {
-                    return Err(stale(&format!("connections of `{}` changed", inst.name)));
-                }
-            }
-            let cell = binding.cell(idx);
-            let out_pin = cell
-                .pins
-                .iter()
-                .find(|p| p.capacitance_pf == 0.0)
-                .ok_or_else(|| StaError::MissingTiming {
-                    instance: inst.name.clone(),
-                    reason: "variant has no output pin".into(),
-                })?;
-            let out_conn = inst
-                .connections
-                .iter()
-                .position(|(pin, _)| *pin == out_pin.name)
-                .ok_or_else(|| StaError::MissingTiming {
-                    instance: inst.name.clone(),
-                    reason: "output pin unconnected".into(),
-                })?;
-            if ids[out_conn] != self.out_net[idx] {
-                return Err(stale(&format!("output pin of `{}` moved", inst.name)));
-            }
+        for idx in 0..self.out_pin.len() {
+            self.check_output_pin(netlist, binding, idx)?;
         }
         Ok(())
+    }
+
+    fn check_stamp(&self, netlist: &MappedNetlist) -> Result<(), StaError> {
+        if netlist.stamp() == self.stamp {
+            Ok(())
+        } else {
+            Err(stale("the netlist is not the one it was analyzed from"))
+        }
+    }
+
+    /// Instance `idx`'s bound variant still drives the recorded output
+    /// pin.
+    fn check_output_pin(
+        &self,
+        netlist: &MappedNetlist,
+        binding: &CellBinding,
+        idx: usize,
+    ) -> Result<(), StaError> {
+        let inst = &netlist.instances()[idx];
+        let out = output_pin(binding.cell(idx)).ok_or_else(|| StaError::MissingTiming {
+            instance: inst.name.clone(),
+            reason: "variant has no output pin".into(),
+        })?;
+        if out.name == self.pin_names[self.out_pin[idx] as usize] {
+            Ok(())
+        } else {
+            Err(stale(&format!("output pin of `{}` moved", inst.name)))
+        }
+    }
+
+    /// Checks, before anything is written, that instance `idx`'s bound
+    /// variant can be re-timed against `slot`, its stored arcs: it drives
+    /// the recorded output pin, every input pin is connected and has an
+    /// arc, and its input pins sample the same nets as the stored arcs
+    /// (so the instance⇄net relations and the arc layout still hold).
+    fn check_rebound(
+        &self,
+        netlist: &MappedNetlist,
+        binding: &CellBinding,
+        idx: usize,
+        slot: &[(u32, f64)],
+    ) -> Result<(), StaError> {
+        self.check_output_pin(netlist, binding, idx)?;
+        let inst = &netlist.instances()[idx];
+        let cell = binding.cell(idx);
+        let inputs = || cell.pins.iter().filter(|p| p.capacitance_pf > 0.0);
+        for pin in inputs() {
+            if !inst.connections.iter().any(|(p, _)| *p == pin.name) {
+                return Err(StaError::MissingTiming {
+                    instance: inst.name.clone(),
+                    reason: format!("input pin `{}` unconnected", pin.name),
+                });
+            }
+            if cell.arc_from(&pin.name).is_none() {
+                return Err(StaError::MissingTiming {
+                    instance: inst.name.clone(),
+                    reason: format!("no arc from pin `{}`", pin.name),
+                });
+            }
+        }
+        let nets = || {
+            inputs().filter_map(|pin| {
+                let conn = inst.connections.iter().position(|(p, _)| *p == pin.name)?;
+                Some(self.conn_ids[idx][conn])
+            })
+        };
+        let same_nets = nets().count() == slot.len()
+            && nets().all(|x| {
+                nets().filter(|&y| y == x).count() == slot.iter().filter(|&&(y, _)| y == x).count()
+            });
+        if same_nets {
+            Ok(())
+        } else {
+            Err(stale(&format!("input pins of `{}` changed", inst.name)))
+        }
+    }
+}
+
+fn stale(reason: &str) -> StaError {
+    StaError::InvalidBinding {
+        reason: format!("incremental state is stale: {reason}"),
     }
 }
 
@@ -267,10 +349,9 @@ impl Topology {
 /// Building the topology (string interning, driver/user relations) is
 /// the only string-heavy step of an analysis. Callers that analyze the
 /// same design repeatedly — the sign-off flow runs six corners per
-/// `run()`, ECO sessions re-analyze after every edit — build it once and
+/// `run()`, ECO sessions re-sign-off after edits — build it once and
 /// pass it to [`analyze_full_in`](crate::analyze_full_in), which only
-/// performs the O(connections) [`verify`](SharedTopology::verify) sweep.
-/// Cloning is an [`Arc`] bump.
+/// [`verify`](SharedTopology::verify)s it. Cloning is an [`Arc`] bump.
 #[derive(Debug, Clone)]
 pub struct SharedTopology(pub(crate) Arc<Topology>);
 
@@ -288,26 +369,34 @@ impl SharedTopology {
         Ok(SharedTopology(Arc::new(Topology::build(netlist, binding)?)))
     }
 
-    /// Checks that `netlist`/`binding` still match this topology —
-    /// O(connections) string equality, no allocation.
+    /// Checks that `netlist`/`binding` still match this topology: an
+    /// O(1) [`MappedNetlist::stamp`] comparison, then each bound
+    /// variant's output pin against the recorded one. No allocation.
     ///
     /// # Errors
     ///
-    /// [`StaError::InvalidBinding`] when connectivity changed,
-    /// [`StaError::MissingTiming`] when a variant's pin roles are
-    /// inconsistent.
+    /// [`StaError::InvalidBinding`] when the netlist is another one (a
+    /// different stamp), the binding does not cover it, or an output pin
+    /// moved; [`StaError::MissingTiming`] when a variant has no output
+    /// pin.
     pub fn verify(&self, netlist: &MappedNetlist, binding: &CellBinding) -> Result<(), StaError> {
         self.0.verify(netlist, binding)
     }
 }
 
-/// A completed analysis plus the internal products needed to advance it
-/// incrementally: the interned net topology, the canonical per-net load
-/// vector, the per-instance arc delays of the backward pass (flat CSR
-/// layout), and the topological completion order.
+/// A completed analysis plus the internal products needed to re-time it
+/// in place: the interned net topology, the options and wire caps it
+/// ran with, the canonical per-net load vector, the per-instance arc
+/// delays of the backward pass (flat CSR layout), and the topological
+/// completion order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StaState {
     pub(crate) report: TimingReport,
+    /// The options of the analysis; [`StaState::update`] re-times with
+    /// the same ones.
+    pub(crate) options: TimingOptions,
+    /// Explicit wire caps (pF) on netlist nets, sorted by net id.
+    pub(crate) wire_caps: Vec<(u32, f64)>,
     /// Net loads (pF) indexed by topology net id.
     pub(crate) loads: Vec<f64>,
     /// Loads on wire-cap nets that are not in the netlist (sorted by
@@ -324,27 +413,21 @@ pub struct StaState {
     pub(crate) topo: Arc<Topology>,
 }
 
-impl StaState {
-    pub(crate) fn new(
-        report: TimingReport,
-        loads: Vec<f64>,
-        extra_loads: Vec<(String, f64)>,
-        arc_offsets: Vec<u32>,
-        arc_data: Vec<(u32, f64)>,
-        completion_order: Vec<usize>,
-        topo: Arc<Topology>,
-    ) -> StaState {
-        StaState {
-            report,
-            loads,
-            extra_loads,
-            arc_offsets,
-            arc_data,
-            completion_order,
-            topo,
-        }
-    }
+/// Work accounting of one incremental update, for telemetry and for
+/// asserting that a small edit really did a small amount of work.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct IncrementalStats {
+    /// Re-bound instances plus drivers of nets whose load bits changed.
+    pub seed_instances: usize,
+    /// Instances re-evaluated: the seeds, plus every user of a net whose
+    /// arrival or slew bits changed.
+    pub forward_instances: usize,
+    /// Nets whose required time was recomputed: the fan-in cone of the
+    /// re-evaluated instances.
+    pub backward_nets: usize,
+}
 
+impl StaState {
     /// The timing report of the analysis this state captures.
     #[must_use]
     pub fn report(&self) -> &TimingReport {
@@ -364,355 +447,208 @@ impl StaState {
     pub fn completion_order(&self) -> &[usize] {
         &self.completion_order
     }
-}
 
-/// Work accounting of one incremental update, for telemetry and for
-/// asserting that a small edit really did a small amount of work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct IncrementalStats {
-    /// Directly edited instances plus drivers of load-changed nets.
-    pub seed_instances: usize,
-    /// Instances re-evaluated in the forward (fan-out) cone.
-    pub forward_instances: usize,
-    /// Nets whose required time was recomputed in the backward cone.
-    pub backward_nets: usize,
-}
-
-/// Advances a completed analysis after an edit that re-bound (or
-/// re-loaded) the given instances, recomputing only the forward fan-out
-/// cone of arrivals and the backward fan-in cone of required times.
-///
-/// `changed_instances` lists every instance whose bound variant changed
-/// (duplicates are fine). Instances whose *loads* changed — e.g. the
-/// driver of a net whose sink pin capacitances moved with a cell swap —
-/// are discovered automatically by bit-diffing a fresh canonical load
-/// vector against `prev`'s, so callers only report what they edited.
-///
-/// Connectivity must be unchanged since `prev` was computed: nets,
-/// pins-to-net connections, and instance count must match (pin-name
-/// compatible cell swaps, moves, and resizes all qualify). This is
-/// checked — the connections are swept against the interned topology —
-/// and violations return
-/// [`StaError::InvalidBinding`].
-///
-/// # Errors
-///
-/// * [`StaError::InvalidOptions`] / [`StaError::InvalidBinding`] as in
-///   [`analyze`](crate::analyze), plus binding-shape mismatches against
-///   `prev`,
-/// * [`StaError::MissingTiming`] when a re-bound variant lacks an arc
-///   for a connected input pin.
-pub fn analyze_incremental(
-    netlist: &MappedNetlist,
-    binding: &CellBinding,
-    options: &TimingOptions,
-    prev: &StaState,
-    changed_instances: &[usize],
-) -> Result<(StaState, IncrementalStats), StaError> {
-    analyze_incremental_with_wire_caps(
-        netlist,
-        binding,
-        options,
-        &HashMap::new(),
-        prev,
-        changed_instances,
-    )
-}
-
-/// [`analyze_incremental`] with caller-provided scratch, so repeated
-/// updates (an ECO session walking many edits) reuse one arena for the
-/// per-update temporaries instead of reallocating them.
-///
-/// # Errors
-///
-/// See [`analyze_incremental`].
-pub fn analyze_incremental_in(
-    netlist: &MappedNetlist,
-    binding: &CellBinding,
-    options: &TimingOptions,
-    prev: &StaState,
-    changed_instances: &[usize],
-    scratch: &ScratchArena,
-) -> Result<(StaState, IncrementalStats), StaError> {
-    incremental_soa(
-        netlist,
-        binding,
-        options,
-        &HashMap::new(),
-        prev,
-        changed_instances,
-        scratch,
-    )
-}
-
-/// [`analyze_incremental`] with explicit per-net wire capacitances (pF),
-/// mirroring [`analyze_with_wire_caps`](crate::analyze_with_wire_caps).
-///
-/// # Errors
-///
-/// See [`analyze_incremental`].
-pub fn analyze_incremental_with_wire_caps(
-    netlist: &MappedNetlist,
-    binding: &CellBinding,
-    options: &TimingOptions,
-    wire_caps_pf: &HashMap<String, f64>,
-    prev: &StaState,
-    changed_instances: &[usize],
-) -> Result<(StaState, IncrementalStats), StaError> {
-    let scratch = ScratchArena::new();
-    incremental_soa(
-        netlist,
-        binding,
-        options,
-        wire_caps_pf,
-        prev,
-        changed_instances,
-        &scratch,
-    )
-}
-
-#[allow(clippy::too_many_lines)]
-fn incremental_soa(
-    netlist: &MappedNetlist,
-    binding: &CellBinding,
-    options: &TimingOptions,
-    wire_caps_pf: &HashMap<String, f64>,
-    prev: &StaState,
-    changed_instances: &[usize],
-    scratch: &ScratchArena,
-) -> Result<(StaState, IncrementalStats), StaError> {
-    let _span = svt_obs::span("sta.analyze_incremental");
-    validate(netlist, binding, options)?;
-    let n = netlist.instances().len();
-    if prev.completion_order.len() != n || prev.arc_offsets.len() != n + 1 {
-        return Err(StaError::InvalidBinding {
-            reason: "incremental state does not match the netlist".into(),
-        });
-    }
-    let topo = &prev.topo;
-    topo.verify(netlist, binding)?;
-    let net_count = topo.net_names.len();
-
-    // Canonical load recompute + bit-diff: a net whose load bits moved
-    // re-times its *driver* (delay/slew lookups read the output load).
-    let (loads, extra_loads) = compute_loads(netlist, binding, options, wire_caps_pf, topo)?;
-    // `dirty` doubles as the seed-dedup set: before the DFS below it
-    // holds exactly the seeds.
-    let dirty: &mut [bool] = scratch.alloc_slice_fill(n, false);
-    let stack: &mut [u32] = scratch.alloc_slice_fill(n, 0u32);
-    let mut stack_len = 0usize;
-    let mut seed_count = 0usize;
-    for &idx in changed_instances {
-        if idx >= n {
+    /// Re-times this state in place after an edit re-bound the listed
+    /// instances in `binding`, with the options and wire caps of the
+    /// analysis that produced it. Afterwards the state equals a
+    /// from-scratch [`analyze_full`](crate::analyze_full) of the edited
+    /// binding bit for bit.
+    ///
+    /// `changed_instances` must list every instance whose bound variant
+    /// changed (duplicates are fine; an unlisted one is not re-timed, and
+    /// nothing below holds for it); instances whose *load* changed —
+    /// e.g. the driver of a net whose sink pin capacitances moved with a
+    /// cell swap — are found by bit-diffing the loads of the nets the
+    /// re-bound instances sample. `netlist` must be the analyzed netlist
+    /// or a copy of it (cell swaps allowed), which its
+    /// [`MappedNetlist::stamp`] proves in O(1).
+    ///
+    /// Every check runs before the first write, so an `Err` leaves the
+    /// state exactly as it was; `scratch` holds the temporaries.
+    ///
+    /// # Errors
+    ///
+    /// * [`StaError::InvalidBinding`] when the binding does not cover the
+    ///   netlist, the netlist is not the analyzed one, a changed index is
+    ///   out of range, or a re-bound variant changed pin roles (its
+    ///   output pin or the nets its input pins sample),
+    /// * [`StaError::MissingTiming`] when a re-bound variant has no
+    ///   output pin, or an input pin that is unconnected or lacks an arc.
+    #[allow(clippy::too_many_lines)]
+    pub fn update(
+        &mut self,
+        netlist: &MappedNetlist,
+        binding: &CellBinding,
+        changed_instances: &[usize],
+        scratch: &ScratchArena,
+    ) -> Result<IncrementalStats, StaError> {
+        let _span = svt_obs::span("sta.update");
+        let topo = Arc::clone(&self.topo);
+        let n = topo.out_net.len();
+        topo.check_stamp(netlist)?;
+        if binding.cells().len() != n {
             return Err(StaError::InvalidBinding {
-                reason: format!("changed instance index {idx} out of range"),
+                reason: "binding does not cover the netlist".into(),
             });
         }
-        if !dirty[idx] {
-            dirty[idx] = true;
-            stack[stack_len] = u32::try_from(idx).expect("instance count fits u32");
-            stack_len += 1;
-            seed_count += 1;
-        }
-    }
-    for (id, cap) in loads.iter().enumerate() {
-        if cap.to_bits() != prev.loads[id].to_bits() {
-            let d = topo.driver_of[id];
-            if d != u32::MAX && !dirty[d as usize] {
-                dirty[d as usize] = true;
-                stack[stack_len] = d;
-                stack_len += 1;
-                seed_count += 1;
+        // `dirty` starts as the seed set; the forward pass extends it to
+        // exactly the instances it re-evaluates.
+        let dirty: &mut [bool] = scratch.alloc_slice_fill(n, false);
+        let mut seed_instances = 0usize;
+        let mut touched: Vec<u32> = Vec::new();
+        for &idx in changed_instances {
+            if idx >= n {
+                return Err(StaError::InvalidBinding {
+                    reason: format!("changed instance index {idx} out of range"),
+                });
             }
-        }
-    }
-    // `extra_loads` nets are outside the netlist — nothing drives them,
-    // so a change there cannot seed anything.
-
-    // Forward (fan-out) cone: everything reachable from a seed.
-    // Mark-on-push bounds the stack by the instance count.
-    while stack_len > 0 {
-        stack_len -= 1;
-        let idx = stack[stack_len] as usize;
-        for &u in &topo.users_of[topo.out_net[idx] as usize] {
-            if !dirty[u as usize] {
-                dirty[u as usize] = true;
-                stack[stack_len] = u;
-                stack_len += 1;
-            }
-        }
-    }
-
-    // Clone the previous SoA state; only cone members get overwritten,
-    // so everything outside the cones stays bit-identical.
-    let mut arrival = prev.report.arrival.clone();
-    let mut slew = prev.report.slew.clone();
-    let mut from = prev.report.from.clone();
-    let mut arc_offsets = prev.arc_offsets.clone();
-    let mut arc_data = prev.arc_data.clone();
-
-    // A re-bound variant can change the number of connected input pins
-    // (and therefore its arc count). When that happens the CSR layout is
-    // rebuilt, copying clean instances' slices; dirty slices are written
-    // by the re-evaluation below.
-    let relayout = (0..n).any(|idx| {
-        dirty[idx]
-            && connected_input_pins(netlist, binding, idx)
-                != (arc_offsets[idx + 1] - arc_offsets[idx]) as usize
-    });
-    if relayout {
-        let mut new_offsets: Vec<u32> = Vec::with_capacity(n + 1);
-        new_offsets.push(0);
-        for idx in 0..n {
-            let count = if dirty[idx] {
-                u32::try_from(connected_input_pins(netlist, binding, idx))
-                    .expect("arc count fits u32")
-            } else {
-                arc_offsets[idx + 1] - arc_offsets[idx]
-            };
-            new_offsets.push(new_offsets[idx] + count);
-        }
-        let mut new_data: Vec<(u32, f64)> = vec![(u32::MAX, 0.0); new_offsets[n] as usize];
-        for idx in 0..n {
             if dirty[idx] {
                 continue;
             }
-            let src = &arc_data[arc_offsets[idx] as usize..arc_offsets[idx + 1] as usize];
-            new_data[new_offsets[idx] as usize..new_offsets[idx + 1] as usize].copy_from_slice(src);
+            let slot = &self.arc_data[self.arc_range(idx)];
+            topo.check_rebound(netlist, binding, idx, slot)?;
+            dirty[idx] = true;
+            seed_instances += 1;
+            touched.extend(slot.iter().map(|&(net, _)| net));
         }
-        arc_offsets = new_offsets;
-        arc_data = new_data;
-    }
 
-    // Re-evaluate dirty instances in the stored topological order; every
-    // non-dirty instance keeps bit-identical inputs, so its stored
-    // timing is already the post-edit answer.
-    let mut eval = EvalScratch::default();
-    let mut forward_instances = 0usize;
-    for &idx in &prev.completion_order {
-        if !dirty[idx] {
-            continue;
-        }
-        forward_instances += 1;
-        let out = evaluate_instance(
+        // Checks done; from here on nothing fails. A net whose load bits
+        // moved re-times its driver (delay and slew read the output load).
+        touched.sort_unstable();
+        touched.dedup();
+        let before: Vec<f64> = touched
+            .iter()
+            .map(|&net| self.loads[net as usize])
+            .collect();
+        sum_loads(
             netlist,
             binding,
-            idx,
-            topo,
-            &loads,
-            &arrival,
-            &slew,
-            options.mode,
-            &mut eval,
-        )?;
-        arc_data[arc_offsets[idx] as usize..arc_offsets[idx + 1] as usize]
-            .copy_from_slice(&eval.arcs);
-        let out_id = topo.out_net[idx] as usize;
-        arrival[out_id] = out.arrival_ns;
-        slew[out_id] = out.slew_ns;
-        from[out_id] = out.from;
-    }
-
-    // Backward (fan-in) cone: nets whose required time can change are
-    // the inputs of dirty instances, closed transitively upstream. One
-    // reversed pass computes the closure: consumers of a net appear
-    // before its driver in reversed topological order, so membership is
-    // settled before the driver's inputs are considered.
-    let mut required = prev.report.required.clone();
-    let mut has_required = prev.report.has_required.clone();
-    let mut backward_nets = 0usize;
-    if let Some(period) = options.clock_period_ns {
-        if required.len() != net_count {
-            // `prev` was analyzed without a clock; start from the empty
-            // boundary condition.
-            required = vec![0.0; net_count];
-            has_required = vec![false; net_count];
-        }
-        let in_cone: &mut [bool] = scratch.alloc_slice_fill(net_count, false);
-        for &idx in prev.completion_order.iter().rev() {
-            if dirty[idx] || in_cone[topo.out_net[idx] as usize] {
-                for &(in_id, _) in
-                    &arc_data[arc_offsets[idx] as usize..arc_offsets[idx + 1] as usize]
-                {
-                    in_cone[in_id as usize] = true;
-                }
-            }
-        }
-
-        // Reset cone members to their boundary condition, then replay
-        // the min-merge contributions — only into the cone; everything
-        // outside it keeps bit-identical contributions.
-        let is_po: &mut [bool] = scratch.alloc_slice_fill(net_count, false);
-        for &po in &topo.po_ids {
-            is_po[po as usize] = true;
-        }
-        for (id, &inside) in in_cone.iter().enumerate() {
-            if !inside {
+            &self.options,
+            &topo,
+            &self.wire_caps,
+            Some(&touched),
+            &mut self.loads,
+        );
+        for (&net, old) in touched.iter().zip(before) {
+            if self.loads[net as usize].to_bits() == old.to_bits() {
                 continue;
             }
-            backward_nets += 1;
-            if is_po[id] {
-                required[id] = period;
-                has_required[id] = true;
-            } else {
-                required[id] = 0.0;
-                has_required[id] = false;
+            let d = topo.driver_of[net as usize];
+            if d != u32::MAX && !dirty[d as usize] {
+                dirty[d as usize] = true;
+                seed_instances += 1;
             }
         }
-        for &idx in prev.completion_order.iter().rev() {
-            let out_id = topo.out_net[idx] as usize;
-            if !has_required[out_id] {
-                continue; // net drives nothing timed
+
+        // Forward: one pass in the stored topological order. An instance
+        // is re-evaluated when flagged, and flags its users only when its
+        // output arrival or slew changed bits: everything else reads
+        // bit-identical inputs, so its stored timing is the answer.
+        let mut eval = EvalScratch::default();
+        let mut forward_instances = 0usize;
+        for &idx in &self.completion_order {
+            if !dirty[idx] {
+                continue;
             }
-            let r_out = required[out_id];
-            for &(in_id, delay) in
-                &arc_data[arc_offsets[idx] as usize..arc_offsets[idx + 1] as usize]
-            {
-                let i = in_id as usize;
-                if !in_cone[i] {
+            forward_instances += 1;
+            // Cannot fail: the seeds passed `check_rebound`, and every
+            // other instance keeps the variant it was evaluated with.
+            let out = evaluate_instance(
+                netlist,
+                binding,
+                idx,
+                &topo,
+                &self.loads,
+                &self.report.arrival,
+                &self.report.slew,
+                self.options.mode,
+                &mut eval,
+            )?;
+            let range = self.arc_range(idx);
+            self.arc_data[range].copy_from_slice(&eval.arcs);
+            let out_id = topo.out_net[idx] as usize;
+            let report = &mut self.report;
+            let moved = out.arrival_ns.to_bits() != report.arrival[out_id].to_bits()
+                || out.slew_ns.to_bits() != report.slew[out_id].to_bits();
+            report.arrival[out_id] = out.arrival_ns;
+            report.slew[out_id] = out.slew_ns;
+            report.from[out_id] = out.from;
+            if moved {
+                for &u in &topo.users_of[out_id] {
+                    dirty[u as usize] = true;
+                }
+            }
+        }
+
+        // Backward: required times can change on the inputs of
+        // re-evaluated instances, closed transitively upstream. One
+        // reversed pass computes the closure: consumers of a net appear
+        // before its driver in reversed topological order, so membership
+        // is settled before the driver's inputs are considered.
+        let mut backward_nets = 0usize;
+        if let Some(period) = self.options.clock_period_ns {
+            let in_cone: &mut [bool] = scratch.alloc_slice_fill(topo.net_names.len(), false);
+            for &idx in self.completion_order.iter().rev() {
+                if dirty[idx] || in_cone[topo.out_net[idx] as usize] {
+                    for &(in_id, _) in &self.arc_data[self.arc_range(idx)] {
+                        in_cone[in_id as usize] = true;
+                    }
+                }
+            }
+
+            // Reset cone members to their boundary condition, then replay
+            // the min-merge contributions in the full pass's order — only
+            // into the cone; everything outside it keeps bit-identical
+            // contributions.
+            let report = &mut self.report;
+            for (id, &inside) in in_cone.iter().enumerate() {
+                if !inside {
                     continue;
                 }
-                let candidate = r_out - delay;
-                if has_required[i] {
-                    required[i] = required[i].min(candidate);
-                } else {
-                    has_required[i] = true;
-                    required[i] = candidate;
+                backward_nets += 1;
+                let is_po = topo.po_count[id] > 0;
+                report.required[id] = if is_po { period } else { 0.0 };
+                report.has_required[id] = is_po;
+            }
+            for &idx in self.completion_order.iter().rev() {
+                let out_id = topo.out_net[idx] as usize;
+                if !report.has_required[out_id] {
+                    continue; // net drives nothing timed
+                }
+                let r_out = report.required[out_id];
+                let arcs = self.arc_offsets[idx] as usize..self.arc_offsets[idx + 1] as usize;
+                for &(in_id, delay) in &self.arc_data[arcs] {
+                    let i = in_id as usize;
+                    if !in_cone[i] {
+                        continue;
+                    }
+                    let candidate = r_out - delay;
+                    if report.has_required[i] {
+                        report.required[i] = report.required[i].min(candidate);
+                    } else {
+                        report.has_required[i] = true;
+                        report.required[i] = candidate;
+                    }
                 }
             }
         }
-    }
 
-    svt_obs::counter!("sta.incremental.updates").add(1);
-    svt_obs::counter!("sta.incremental.forward_instances").add(forward_instances as u64);
-    svt_obs::counter!("sta.incremental.backward_nets").add(backward_nets as u64);
-
-    let report = TimingReport::from_soa(
-        Arc::clone(topo),
-        options.mode,
-        arrival,
-        slew,
-        from,
-        required,
-        has_required,
-    );
-    Ok((
-        StaState::new(
-            report,
-            loads,
-            extra_loads,
-            arc_offsets,
-            arc_data,
-            prev.completion_order.clone(),
-            Arc::clone(topo),
-        ),
-        IncrementalStats {
-            seed_instances: seed_count,
+        svt_obs::counter!("sta.incremental.updates").add(1);
+        svt_obs::counter!("sta.incremental.forward_instances").add(forward_instances as u64);
+        svt_obs::counter!("sta.incremental.backward_nets").add(backward_nets as u64);
+        Ok(IncrementalStats {
+            seed_instances,
             forward_instances,
             backward_nets,
-        },
-    ))
+        })
+    }
+
+    /// Instance `idx`'s slot in [`Self::arc_data`].
+    fn arc_range(&self, idx: usize) -> std::ops::Range<usize> {
+        self.arc_offsets[idx] as usize..self.arc_offsets[idx + 1] as usize
+    }
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -776,6 +712,7 @@ mod tests {
             assert_eq!(nx, ny);
             assert_eq!(dx.to_bits(), dy.to_bits());
         }
+        assert_eq!(a, b, "whole state");
     }
 
     #[test]
@@ -794,7 +731,10 @@ mod tests {
         let slow = CellBinding::uniform_scaled_cell(&lib, &cell_name, 99.0).unwrap();
         binding.replace(&m, idx, slow).unwrap();
 
-        let (incr, stats) = analyze_incremental(&m, &binding, &opts, &base, &[idx]).unwrap();
+        let mut incr = base;
+        let stats = incr
+            .update(&m, &binding, &[idx], &ScratchArena::new())
+            .unwrap();
         let full = analyze_full(&m, &binding, &opts).unwrap();
         assert_states_bit_identical(&incr, &full);
         assert!(stats.seed_instances >= 1);
@@ -840,7 +780,10 @@ mod tests {
         }
         binding.replace(&m, nand_idx, slow).unwrap();
 
-        let (incr, stats) = analyze_incremental(&m, &binding, &opts, &base, &[nand_idx]).unwrap();
+        let mut incr = base;
+        let stats = incr
+            .update(&m, &binding, &[nand_idx], &ScratchArena::new())
+            .unwrap();
         let full = analyze_full(&m, &binding, &opts).unwrap();
         assert_states_bit_identical(&incr, &full);
         assert!(
@@ -855,15 +798,19 @@ mod tests {
         let opts = TimingOptions::default();
         let binding = CellBinding::nominal(&m, &lib).unwrap();
         let base = analyze_full(&m, &binding, &opts).unwrap();
-        let (incr, stats) = analyze_incremental(&m, &binding, &opts, &base, &[]).unwrap();
+        let mut incr = base.clone();
+        let stats = incr
+            .update(&m, &binding, &[], &ScratchArena::new())
+            .unwrap();
         assert_states_bit_identical(&incr, &base);
-        assert_eq!(stats.forward_instances, 0);
+        assert_eq!(stats, IncrementalStats::default());
     }
 
     #[test]
     fn scratch_reuse_across_updates_is_bit_identical() {
         // The ECO path drives many updates through one arena; warm
-        // reuse must not perturb results.
+        // reuse must not perturb results, and an edit followed by its
+        // undo must land back on the base state.
         let (m, lib) = c432();
         let opts = TimingOptions {
             clock_period_ns: Some(6.0),
@@ -871,21 +818,20 @@ mod tests {
         };
         let mut binding = CellBinding::uniform_scaled(&m, &lib, 90.0).unwrap();
         let base = analyze_full(&m, &binding, &opts).unwrap();
+        let mut state = base.clone();
         let mut scratch = ScratchArena::new();
         for idx in [3usize, 17, 101] {
             let cell_name = m.instances()[idx].cell.clone();
             let slow = CellBinding::uniform_scaled_cell(&lib, &cell_name, 99.0).unwrap();
             binding.replace(&m, idx, slow).unwrap();
-            let (incr, _) =
-                analyze_incremental_in(&m, &binding, &opts, &base, &[idx], &scratch).unwrap();
-            let plain = analyze_incremental(&m, &binding, &opts, &base, &[idx])
-                .unwrap()
-                .0;
-            assert_states_bit_identical(&incr, &plain);
-            // Undo for the next round so every step edits from `base`.
+            state.update(&m, &binding, &[idx], &scratch).unwrap();
+            scratch.reset();
+            assert_states_bit_identical(&state, &analyze_full(&m, &binding, &opts).unwrap());
             let nominal = CellBinding::uniform_scaled_cell(&lib, &cell_name, 90.0).unwrap();
             binding.replace(&m, idx, nominal).unwrap();
+            state.update(&m, &binding, &[idx], &scratch).unwrap();
             scratch.reset();
+            assert_states_bit_identical(&state, &base);
         }
     }
 
@@ -903,25 +849,46 @@ mod tests {
         let fast =
             CellBinding::uniform_scaled_cell(&lib, &m.instances()[idx].cell.clone(), 81.0).unwrap();
         binding.replace(&m, idx, fast).unwrap();
-        let (incr, _) = analyze_incremental(&m, &binding, &opts, &base, &[idx]).unwrap();
+        let mut incr = base;
+        incr.update(&m, &binding, &[idx], &ScratchArena::new())
+            .unwrap();
         let full = analyze_full(&m, &binding, &opts).unwrap();
         assert_states_bit_identical(&incr, &full);
     }
 
     #[test]
-    fn stale_state_is_rejected() {
+    fn stale_state_is_rejected_untouched() {
         let (m, lib) = c432();
         let opts = TimingOptions::default();
         let binding = CellBinding::nominal(&m, &lib).unwrap();
         let base = analyze_full(&m, &binding, &opts).unwrap();
-        // A different netlist cannot reuse this state.
+        let mut state = base.clone();
+        let scratch = ScratchArena::new();
+        let stale = |r: Result<IncrementalStats, StaError>| {
+            matches!(r, Err(StaError::InvalidBinding { .. }))
+        };
+        // A different netlist cannot reuse this state...
         let other = {
             let n = bench::parse("# t\nINPUT(a)\nOUTPUT(z)\nz = NOT(a)\n").unwrap();
             technology_map(&n, &lib).unwrap()
         };
         let other_binding = CellBinding::nominal(&other, &lib).unwrap();
-        assert!(analyze_incremental(&other, &other_binding, &opts, &base, &[]).is_err());
-        // Out-of-range seed.
-        assert!(analyze_incremental(&m, &binding, &opts, &base, &[usize::MAX]).is_err());
+        assert!(stale(state.update(&other, &other_binding, &[], &scratch)));
+        // ...not even an equal one mapped anew: the stamp tells them apart.
+        let twin = {
+            let n = generate_benchmark(&BenchmarkProfile::iscas85("c432").unwrap());
+            technology_map(&n, &lib).unwrap()
+        };
+        assert_eq!(twin, m);
+        assert!(stale(state.update(&twin, &binding, &[], &scratch)));
+        assert!(SharedTopology(Arc::clone(&base.topo))
+            .verify(&twin, &binding)
+            .is_err());
+        // A clone of the analyzed netlist can.
+        state.update(&m.clone(), &binding, &[], &scratch).unwrap();
+        // Out-of-range seed, and a binding that does not cover the netlist.
+        assert!(stale(state.update(&m, &binding, &[usize::MAX], &scratch)));
+        assert!(stale(state.update(&m, &other_binding, &[], &scratch)));
+        assert_eq!(state, base, "a rejected update writes nothing");
     }
 }

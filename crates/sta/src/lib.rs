@@ -12,11 +12,11 @@
 //! * [`TimingReport`] — per-net arrivals, circuit delay, critical path
 //!   extraction, and required-time/slack computation against a clock
 //!   period.
-//! * [`analyze_full`] / [`analyze_incremental`] — the incremental (ECO)
+//! * [`analyze_full`] / [`StaState::update`] — the incremental (ECO)
 //!   path: a full analysis returns an [`StaState`] that later edits
-//!   advance by recomputing only the forward fan-out cone of arrivals
-//!   and the backward fan-in cone of required times, bit-identically to
-//!   a from-scratch analysis.
+//!   re-time in place, re-evaluating only instances whose inputs changed
+//!   bits and required times only in their fan-in cone, bit-identically
+//!   to a from-scratch analysis.
 //!
 //! # Examples
 //!
@@ -46,8 +46,5 @@ pub use analysis::{
 };
 pub use binding::CellBinding;
 pub use error::StaError;
-pub use incremental::{
-    analyze_incremental, analyze_incremental_in, analyze_incremental_with_wire_caps,
-    IncrementalStats, SharedTopology, StaState,
-};
+pub use incremental::{IncrementalStats, SharedTopology, StaState};
 pub use report::{format_path_report, PathStep, TimingReport};
