@@ -6,12 +6,12 @@
 //! struct also flattens to an ordered `(key, value)` list via `scalars()`,
 //! which is the unit of comparison for the golden fixtures.
 
-use svt_core::{ArcLabel, VariationBudget};
+use svt_core::{ArcLabel, SignoffComparison, SignoffFlow, SignoffOptions, VariationBudget};
 use svt_litho::{bossung, pitch_sweep, BossungFamily, FocusExposureMatrix, PitchCdCurve, Process};
 use svt_opc::{ModelOpc, OpcOptions};
-use svt_stdcell::PitchCdTable;
+use svt_stdcell::{expand_library, ExpandOptions, Library, PitchCdTable};
 
-use crate::signoff_simulator;
+use crate::{build_design, signoff_simulator, PAPER_TESTCASES};
 
 /// Fig. 1 — printed CD vs pitch at drawn 130 nm on the 130 nm process.
 #[derive(Debug, Clone)]
@@ -237,6 +237,58 @@ impl Fig6 {
             out.push((format!("{name}.bc"), bc));
             out.push((format!("{name}.wc"), wc));
             out.push((format!("{name}.span"), span));
+        }
+        out
+    }
+}
+
+/// Table 2 — traditional vs systematic-variation aware corner delays of
+/// the paper's five testcases.
+#[derive(Debug, Clone)]
+pub struct Tab2 {
+    /// One comparison per testcase, in [`PAPER_TESTCASES`] order.
+    pub rows: Vec<SignoffComparison>,
+}
+
+/// Builds the Table 2 dataset: the full aware flow (context library on)
+/// over c432…c3540 — the rows `tab2_timing` prints without arguments.
+///
+/// # Errors
+///
+/// Propagates library-expansion and sign-off failures.
+pub fn tab2() -> Result<Tab2, Box<dyn std::error::Error>> {
+    let _span = svt_obs::span("bench.tab2");
+    let library = Library::svt90();
+    let expanded = expand_library(&library, &signoff_simulator(), &ExpandOptions::default())?;
+    let flow = SignoffFlow::new(&library, &expanded, SignoffOptions::default());
+    let rows = PAPER_TESTCASES
+        .iter()
+        .map(|name| {
+            let design = build_design(&library, name);
+            flow.run(&design.mapped, &design.placement)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(Tab2 { rows })
+}
+
+impl Tab2 {
+    /// Flattens to ordered `(key, value)` pairs for golden snapshots: per
+    /// testcase the six corner delays (ns) and the BC→WC uncertainty
+    /// reduction (%).
+    #[must_use]
+    pub fn scalars(&self) -> Vec<(String, f64)> {
+        let mut out = Vec::new();
+        for row in &self.rows {
+            let case = &row.testcase;
+            for (method, t) in [("traditional", &row.traditional), ("aware", &row.aware)] {
+                out.push((format!("{case}.{method}.nom"), t.nom_ns));
+                out.push((format!("{case}.{method}.bc"), t.bc_ns));
+                out.push((format!("{case}.{method}.wc"), t.wc_ns));
+            }
+            out.push((
+                format!("{case}.reduction_pct"),
+                row.uncertainty_reduction_pct(),
+            ));
         }
         out
     }

@@ -1,6 +1,6 @@
-//! Golden-snapshot tests for the figure binaries.
+//! Golden-snapshot tests for the figure and table binaries.
 //!
-//! Each figure's data builder is flattened to ordered `(key, value)`
+//! Each data builder is flattened to ordered `(key, value)`
 //! scalars and compared against a JSON fixture under `tests/golden/` at
 //! 1e-9 absolute tolerance — tight enough to pin the physics bit-for-bit
 //! in practice while tolerating a future change of summation order.
@@ -108,6 +108,43 @@ fn fig2_matches_golden() {
 fn fig6_matches_golden() {
     let data = figures::fig6().expect("fig6 builds");
     check_golden("fig6.json", &data.scalars());
+}
+
+/// Table 2 pins the six corner delays and the reduction of every paper
+/// testcase, and the paper's claims about them: a 28–40 % narrower BC→WC
+/// spread, a faster aware nominal, and aware corners inside the
+/// traditional ones.
+#[test]
+fn tab2_matches_golden_and_the_paper_claims() {
+    let data = figures::tab2().expect("tab2 builds");
+    assert_eq!(data.rows.len(), 5);
+    for row in &data.rows {
+        let (case, trad, aware) = (&row.testcase, &row.traditional, &row.aware);
+        let reduction = row.uncertainty_reduction_pct();
+        assert!(
+            (28.0..=40.0).contains(&reduction),
+            "{case}: reduction {reduction}% outside the paper's 28-40 %"
+        );
+        assert!(
+            aware.nom_ns < trad.nom_ns,
+            "{case}: aware nominal {} not below traditional {}",
+            aware.nom_ns,
+            trad.nom_ns
+        );
+        assert!(
+            aware.bc_ns >= trad.bc_ns,
+            "{case}: aware BC {} below traditional BC {}",
+            aware.bc_ns,
+            trad.bc_ns
+        );
+        assert!(
+            aware.wc_ns <= trad.wc_ns,
+            "{case}: aware WC {} above traditional WC {}",
+            aware.wc_ns,
+            trad.wc_ns
+        );
+    }
+    check_golden("tab2.json", &data.scalars());
 }
 
 #[test]

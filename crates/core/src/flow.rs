@@ -6,7 +6,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use serde::{Deserialize, Serialize};
 
 use svt_exec::{try_par_chunks, try_par_map, MemoCache, ScratchPool};
-use svt_netlist::MappedNetlist;
+use svt_netlist::{MappedInstance, MappedNetlist};
 use svt_obs::audit::{AuditTrail, CornerDelay, InstanceAudit, PathAudit, TrimRecord};
 use svt_place::{DeviceSite, Placement, PlacementOptions};
 use svt_sta::{
@@ -307,17 +307,22 @@ pub struct FlowProvenance {
 /// effective placement context, 2-bit-packed device classes, corner code.
 type AwareKey = (u32, CellContext, u64, u8);
 
+/// An [`AwareKey`] without its corner: what one instance contributes to
+/// all three aware corners of a run.
+type VariantKey = (u32, CellContext, u64);
+
 /// Per-flow memoization shared by every run (and clone) of one
 /// [`SignoffFlow`]: the hot sign-off path re-derives nothing that is a
 /// pure function of the flow's fixed options.
 ///
-/// * `topo` — the interned netlist [`SharedTopology`], verified (not
-///   rebuilt) on every analysis of the same netlist or a copy of it,
+/// * `topo` — the interned netlist [`SharedTopology`], reused (not
+///   rebuilt) by every analysis of the same netlist or a copy of it; each
+///   analysis checks it while resolving its arcs,
 /// * `aware` / `trad` — characterized-cell variants behind [`Arc`], keyed
 ///   by everything their tables depend on, so a warm run binds all six
 ///   corners without characterizing a single cell,
-/// * `cell_ids` — dense `u32` ids of the base-library cells (avoids
-///   `String` clones in memo keys),
+/// * `cell_ids` — dense `u32` ids of the base-library cells; a run maps
+///   every instance to one, the index its corner bindings are filled by,
 /// * `scratch` — bump arenas for the analysis working set, reused across
 ///   corners and runs.
 struct FlowCaches {
@@ -449,10 +454,10 @@ impl<'a> SignoffFlow<'a> {
         }
     }
 
-    /// Dense id of a base-library cell, or `None` (memo bypass) for a
-    /// name the library does not contain — the caller's own lookup then
-    /// reports the error with its usual message.
-    fn cell_id(&self, name: &str) -> Option<u32> {
+    /// Per-instance dense library cell ids (`None`: a cell the library
+    /// lacks, which bypasses the memos so its own lookup reports the
+    /// error). Computed once per run and shared by its six corners.
+    fn instance_cell_ids(&self, netlist: &MappedNetlist) -> Vec<Option<u32>> {
         let ids = self.caches.cell_ids.get_or_init(|| {
             self.library
                 .cells()
@@ -461,29 +466,54 @@ impl<'a> SignoffFlow<'a> {
                 .map(|(i, c)| (c.name().to_string(), u32::try_from(i).expect("cell count")))
                 .collect()
         });
-        ids.get(name).copied()
+        netlist
+            .instances()
+            .iter()
+            .map(|inst| ids.get(inst.cell.as_str()).copied())
+            .collect()
     }
 
-    /// The cached interned topology if it still matches the netlist and
-    /// binding, else a fresh build (which replaces the cached one). All
-    /// six corners of a run — and every warm rerun on the same netlist or
-    /// a copy of it — share one [`SharedTopology`]: a matching netlist
-    /// stamp plus one output-pin check per instance, not an interning
-    /// rebuild.
+    /// Analyzes one corner binding against the flow's cached interned
+    /// topology. The analysis checks the topology while resolving its
+    /// arcs — one output-pin compare per instance, the corner's only
+    /// topology check — so the cache is matched here by netlist stamp
+    /// alone. A cached topology the binding does not fit (an output pin
+    /// moved under the same stamp) is rebuilt from this binding and the
+    /// corner analyzed again.
+    fn analyze_corner(
+        &self,
+        netlist: &MappedNetlist,
+        binding: &CellBinding,
+    ) -> Result<StaState, StaError> {
+        let scratch = self.caches.scratch.checkout();
+        let (topo, built) = self.topo_for(netlist, binding, false)?;
+        match analyze_full_in(netlist, binding, &self.options.timing, &topo, &scratch) {
+            Err(StaError::InvalidBinding { .. }) if !built => {
+                let (topo, _) = self.topo_for(netlist, binding, true)?;
+                analyze_full_in(netlist, binding, &self.options.timing, &topo, &scratch)
+            }
+            done => done,
+        }
+    }
+
+    /// The cached interned topology if it was built from `netlist` or a
+    /// copy of it (and `rebuild` is off), else a fresh build from
+    /// `binding`, which replaces the cached one; the flag says whether
+    /// this call built it. Building under the lock makes the parallel
+    /// corners of a cold run share one build.
     fn topo_for(
         &self,
         netlist: &MappedNetlist,
         binding: &CellBinding,
-    ) -> Result<SharedTopology, StaError> {
+        rebuild: bool,
+    ) -> Result<(SharedTopology, bool), StaError> {
         let mut slot = self.caches.topo.lock().expect("topology cache poisoned");
-        if let Some(topo) = slot.as_ref() {
-            if topo.verify(netlist, binding).is_ok() {
-                return Ok(topo.clone());
-            }
+        if let Some(topo) = slot.as_ref().filter(|t| !rebuild && t.is_for(netlist)) {
+            return Ok((topo.clone(), false));
         }
         let topo = SharedTopology::build(netlist, binding)?;
         *slot = Some(topo.clone());
-        Ok(topo)
+        Ok((topo, true))
     }
 
     /// The flow options.
@@ -554,13 +584,16 @@ impl<'a> SignoffFlow<'a> {
         placement: &Placement,
     ) -> Result<SignoffComparison, FlowError> {
         let _span = svt_obs::span("core.signoff");
-        let traditional = self.traditional_timing(netlist)?;
-        let aware = self.aware_timing(netlist, placement)?;
+        let cell_ids = self.instance_cell_ids(netlist);
+        // Reduced to delays at once: the traditional states are dropped
+        // before the aware corners allocate theirs.
+        let traditional = corner_timing_of(&self.traditional_corners(netlist, &cell_ids)?);
+        let aware = corner_timing_of(&self.aware_analyses(netlist, placement, &cell_ids)?.analyses);
         Ok(SignoffComparison {
             testcase: netlist.name().to_string(),
             gates: netlist.instances().len(),
-            traditional,
-            aware,
+            traditional: self.apply_residual_derate(traditional),
+            aware: self.apply_residual_derate(aware),
         })
     }
 
@@ -575,57 +608,70 @@ impl<'a> SignoffFlow<'a> {
         &self,
         netlist: &MappedNetlist,
     ) -> Result<Vec<CornerAnalysis>, FlowError> {
+        self.traditional_corners(netlist, &self.instance_cell_ids(netlist))
+    }
+
+    /// [`SignoffFlow::traditional_analyses`] over a run's per-instance
+    /// cell ids.
+    fn traditional_corners(
+        &self,
+        netlist: &MappedNetlist,
+        cell_ids: &[Option<u32>],
+    ) -> Result<Vec<CornerAnalysis>, FlowError> {
         let _span = svt_obs::span("core.signoff.traditional");
         let l_nom = self.options.characterize.nominal_length_nm;
         let corners = self.options.budget.traditional_corners(l_nom);
         let lengths = [corners.bc_nm, corners.nom_nm, corners.wc_nm];
         try_par_map(&lengths, |&l| -> Result<CornerAnalysis, FlowError> {
             let _corner = svt_obs::span("core.signoff.traditional.corner");
-            let binding = self.uniform_scaled_cached(netlist, l)?;
-            let topo = self.topo_for(netlist, &binding)?;
-            let scratch = self.caches.scratch.checkout();
-            let state = analyze_full_in(netlist, &binding, &self.options.timing, &topo, &scratch)?;
+            let binding = self.uniform_scaled_cached(netlist, cell_ids, l)?;
+            let state = self.analyze_corner(netlist, &binding)?;
             Ok(CornerAnalysis { binding, state })
         })
     }
 
     /// [`CellBinding::uniform_scaled`] through the flow's per-(cell,
-    /// length) memo: each distinct master is characterized once per
-    /// corner length, every instance of it shares the [`Arc`].
+    /// length) memo: one memo lookup per distinct master, then every
+    /// instance is bound by its cell id to its master's shared [`Arc`].
     fn uniform_scaled_cached(
         &self,
         netlist: &MappedNetlist,
+        cell_ids: &[Option<u32>],
         gate_length_nm: f64,
     ) -> Result<CellBinding, StaError> {
-        let mut cells = Vec::with_capacity(netlist.instances().len());
-        for inst in netlist.instances() {
-            let key = self
-                .cell_id(&inst.cell)
-                .map(|id| (id, gate_length_nm.to_bits()));
-            let cell = match key.as_ref().and_then(|k| self.caches.trad.get(k)) {
-                Some(hit) => hit,
-                None => {
-                    let built = Arc::new(
-                        CellBinding::uniform_scaled_cell(self.library, &inst.cell, gate_length_nm)
-                            .map_err(|e| StaError::InvalidBinding {
-                                reason: format!("instance `{}`: {e}", inst.name),
-                            })?,
-                    );
-                    if let Some(k) = key {
-                        self.caches.trad.insert(k, Arc::clone(&built));
+        let characterize = |inst: &MappedInstance| {
+            CellBinding::uniform_scaled_cell(self.library, &inst.cell, gate_length_nm)
+                .map(Arc::new)
+                .map_err(|e| StaError::InvalidBinding {
+                    reason: format!("instance `{}`: {e}", inst.name),
+                })
+        };
+        let mut by_id: Vec<Option<Arc<CharacterizedCell>>> = vec![None; self.library.cells().len()];
+        let mut cells = Vec::with_capacity(cell_ids.len());
+        for (inst, &id) in netlist.instances().iter().zip(cell_ids) {
+            let cell = match id {
+                // Not in the library: characterizing reports it.
+                None => characterize(inst)?,
+                Some(id) => match &by_id[id as usize] {
+                    Some(cell) => Arc::clone(cell),
+                    None => {
+                        let key = (id, gate_length_nm.to_bits());
+                        let cell = match self.caches.trad.get(&key) {
+                            Some(hit) => hit,
+                            None => {
+                                let built = characterize(inst)?;
+                                self.caches.trad.insert(key, Arc::clone(&built));
+                                built
+                            }
+                        };
+                        by_id[id as usize] = Some(Arc::clone(&cell));
+                        cell
                     }
-                    built
-                }
+                },
             };
             cells.push(cell);
         }
         CellBinding::new_shared(netlist, cells)
-    }
-
-    /// Traditional corner timing with the non-gate-length corner derate.
-    fn traditional_timing(&self, netlist: &MappedNetlist) -> Result<CornerTiming, FlowError> {
-        let analyses = self.traditional_analyses(netlist)?;
-        Ok(self.apply_residual_derate(corner_timing_of(&analyses)))
     }
 
     /// Applies the non-gate-length process-corner derate to BC/WC. Every
@@ -642,17 +688,6 @@ impl<'a> SignoffFlow<'a> {
         }
     }
 
-    /// Aware corner timing: in-context nominal CDs plus per-arc eq. 1–5
-    /// corners.
-    fn aware_timing(
-        &self,
-        netlist: &MappedNetlist,
-        placement: &Placement,
-    ) -> Result<CornerTiming, FlowError> {
-        let run = self.aware_analyses(netlist, placement)?;
-        Ok(self.apply_residual_derate(corner_timing_of(&run.analyses)))
-    }
-
     /// Aware corner analyses plus the per-instance provenance they were
     /// derived from (placement contexts and device classes), in
     /// `Corner::ALL` order.
@@ -660,6 +695,7 @@ impl<'a> SignoffFlow<'a> {
         &self,
         netlist: &MappedNetlist,
         placement: &Placement,
+        cell_ids: &[Option<u32>],
     ) -> Result<AwareRun, FlowError> {
         let _span = svt_obs::span("core.signoff.aware");
         let instances = netlist.instances().len();
@@ -692,24 +728,17 @@ impl<'a> SignoffFlow<'a> {
             classes[site.instance][site.device.0] = classify_device_site(site, &self.options);
         }
 
-        // Per-corner in-context characterization in contiguous index
-        // chunks (a handful of pool tasks, not one per instance). Each
-        // instance's characterized cell depends only on its own context
-        // and classes; results land in instance order, so the binding
-        // (and the analyzed delay) is identical to the sequential loop.
+        // The memo keys are corner-independent: derive them once, then
+        // bind each corner with one lookup per distinct key.
+        let work = self.aware_work(cell_ids, &contexts, &classes);
         let mut analyses = Vec::with_capacity(Corner::ALL.len());
         for corner in Corner::ALL {
             let _corner_span = svt_obs::span("core.signoff.aware.corner");
             if svt_obs::enabled() {
                 svt_obs::counter!("core.signoff.instances").add(instances as u64);
             }
-            let cells = try_par_chunks(instances, |idx| -> Result<_, FlowError> {
-                self.characterize_instance_cached(netlist, idx, &contexts, &classes, corner)
-            })?;
-            let binding = CellBinding::new_shared(netlist, cells)?;
-            let topo = self.topo_for(netlist, &binding)?;
-            let scratch = self.caches.scratch.checkout();
-            let state = analyze_full_in(netlist, &binding, &self.options.timing, &topo, &scratch)?;
+            let binding = self.aware_binding(netlist, &work, &contexts, &classes, corner)?;
+            let state = self.analyze_corner(netlist, &binding)?;
             analyses.push(CornerAnalysis { binding, state });
         }
 
@@ -720,52 +749,88 @@ impl<'a> SignoffFlow<'a> {
         })
     }
 
-    /// [`SignoffFlow::characterize_instance`] through the flow's aware
-    /// memo. The key is everything the characterization depends on given
-    /// the flow's fixed options — cell, *effective* context (after
-    /// `use_context_library` gating), packed device classes, corner — so
-    /// a hit is bit-identical to recomputing, and a warm sign-off binds
-    /// all corners without characterizing anything.
-    fn characterize_instance_cached(
+    /// The aware characterizations a run needs, each listed once. The key
+    /// is everything a characterization depends on given the flow's fixed
+    /// options — cell, *effective* context (after `use_context_library`
+    /// gating), packed device classes — so instances sharing a key share
+    /// its variant bit for bit.
+    fn aware_work(
+        &self,
+        cell_ids: &[Option<u32>],
+        contexts: &[CellContext],
+        classes: &[Vec<DeviceClass>],
+    ) -> AwareWork {
+        let mut index: HashMap<VariantKey, u32> = HashMap::new();
+        let mut entries: Vec<(usize, Option<VariantKey>)> = Vec::new();
+        let entry_of = (0..cell_ids.len())
+            .map(|idx| {
+                let effective = if self.options.use_context_library {
+                    contexts[idx]
+                } else {
+                    CellContext::default()
+                };
+                let key = cell_ids[idx]
+                    .zip(pack_classes(&classes[idx]))
+                    .map(|(cell, bits)| (cell, effective, bits));
+                let next = u32::try_from(entries.len()).expect("entry count fits u32");
+                let entry = key.map_or(next, |key| *index.entry(key).or_insert(next));
+                if entry == next {
+                    entries.push((idx, key));
+                }
+                entry
+            })
+            .collect();
+        AwareWork { entries, entry_of }
+    }
+
+    /// One aware corner's binding: each distinct key is looked up in the
+    /// flow's memo once, the misses (bypass entries always among them)
+    /// are characterized across the worker pool, and every instance is
+    /// bound to its entry's variant. A warm run characterizes nothing.
+    fn aware_binding(
         &self,
         netlist: &MappedNetlist,
-        idx: usize,
+        work: &AwareWork,
         contexts: &[CellContext],
         classes: &[Vec<DeviceClass>],
         corner: Corner,
-    ) -> Result<Arc<CharacterizedCell>, FlowError> {
-        let inst = &netlist.instances()[idx];
-        let effective = if self.options.use_context_library {
-            contexts[idx]
-        } else {
-            CellContext::default()
-        };
-        let key = self
-            .cell_id(&inst.cell)
-            .zip(pack_classes(&classes[idx]))
-            .map(|(cell, bits)| (cell, effective, bits, corner_code(corner)));
-        if let Some(key) = &key {
-            if let Some(hit) = self.caches.aware.get(key) {
-                return Ok(hit);
+    ) -> Result<CellBinding, FlowError> {
+        let code = corner_code(corner);
+        let memo_key = |(cell, context, bits): VariantKey| (cell, context, bits, code);
+        let mut variants: Vec<Option<Arc<CharacterizedCell>>> = work
+            .entries
+            .iter()
+            .map(|&(_, key)| key.and_then(|key| self.caches.aware.get(&memo_key(key))))
+            .collect();
+        let misses: Vec<usize> = (0..variants.len())
+            .filter(|&e| variants[e].is_none())
+            .collect();
+        if !misses.is_empty() {
+            let built = try_par_chunks(misses.len(), |m| -> Result<_, FlowError> {
+                let idx = work.entries[misses[m]].0;
+                let cell =
+                    self.characterize_instance(netlist, idx, contexts[idx], &classes[idx], corner)?;
+                Ok(Arc::new(cell))
+            })?;
+            for (&e, cell) in misses.iter().zip(built) {
+                if let Some(key) = work.entries[e].1 {
+                    self.caches.aware.insert(memo_key(key), Arc::clone(&cell));
+                }
+                variants[e] = Some(cell);
             }
         }
-        let cell = Arc::new(self.characterize_instance(
-            netlist,
-            idx,
-            contexts[idx],
-            &classes[idx],
-            corner,
-        )?);
-        if let Some(key) = key {
-            self.caches.aware.insert(key, Arc::clone(&cell));
-        }
-        Ok(cell)
+        let cells = work
+            .entry_of
+            .iter()
+            .map(|&e| Arc::clone(variants[e as usize].as_ref().expect("every entry is bound")))
+            .collect();
+        Ok(CellBinding::new_shared(netlist, cells)?)
     }
 
     /// Characterizes one placed instance at one aware corner from its
     /// placement context and per-device classes — the unit of work the
-    /// aware corner runs fan out, and the unit an incremental ECO
-    /// re-sign-off recomputes per dirty instance.
+    /// aware corner runs fan out (once per distinct memo key), and the
+    /// unit an incremental ECO re-sign-off recomputes per dirty instance.
     ///
     /// When the flow's `use_context_library` option is off, the passed
     /// context is ignored and the fully isolated variant is used (paper §5
@@ -885,9 +950,10 @@ impl<'a> SignoffFlow<'a> {
         placement: &Placement,
     ) -> Result<FlowProvenance, FlowError> {
         let _span = svt_obs::span("core.signoff");
-        let traditional_analyses = self.traditional_analyses(netlist)?;
+        let cell_ids = self.instance_cell_ids(netlist);
+        let traditional_analyses = self.traditional_corners(netlist, &cell_ids)?;
         let traditional = self.apply_residual_derate(corner_timing_of(&traditional_analyses));
-        let run = self.aware_analyses(netlist, placement)?;
+        let run = self.aware_analyses(netlist, placement, &cell_ids)?;
         let aware = self.apply_residual_derate(corner_timing_of(&run.analyses));
         let comparison = SignoffComparison {
             testcase: netlist.name().to_string(),
@@ -1105,6 +1171,18 @@ pub fn audit_corner_delays(comparison: &SignoffComparison) -> Vec<CornerDelay> {
     ]
 }
 
+/// The aware characterizations of one run, each listed once: every
+/// distinct [`VariantKey`] in order of first use, plus one entry per
+/// instance that bypasses the memo (a cell the library lacks, or one with
+/// more than 32 devices). Shared by the run's three aware corners.
+struct AwareWork {
+    /// Per entry: the instance it is characterized for (its first user)
+    /// and its key (`None`: bypass).
+    entries: Vec<(usize, Option<VariantKey>)>,
+    /// Per instance, its entry.
+    entry_of: Vec<u32>,
+}
+
 /// The aware corner analyses plus the provenance the audit trail needs.
 struct AwareRun {
     /// Corner analyses in `Corner::ALL` order (`[bc, nom, wc]`).
@@ -1161,9 +1239,11 @@ pub fn classify_device_site(site: &DeviceSite, options: &SignoffOptions) -> Devi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use svt_exec::ScratchArena;
     use svt_litho::Process;
-    use svt_netlist::{generate_benchmark, technology_map, BenchmarkProfile};
+    use svt_netlist::{bench, generate_benchmark, technology_map, BenchmarkProfile};
     use svt_place::place;
+    use svt_sta::analyze_full;
     use svt_stdcell::{expand_library, ExpandOptions};
 
     fn setup() -> (Library, ExpandedLibrary, MappedNetlist, Placement) {
@@ -1209,6 +1289,86 @@ mod tests {
         assert!(r_simple.uncertainty_reduction_pct() > 10.0);
         // Same traditional baseline in both flows.
         assert!((r_full.traditional.wc_ns - r_simple.traditional.wc_ns).abs() < 1e-12);
+    }
+
+    #[test]
+    fn corner_bindings_equal_instance_by_instance_builds() {
+        let (lib, expanded, mapped, placement) = setup();
+        for use_context_library in [true, false] {
+            let flow = SignoffFlow::new(
+                &lib,
+                &expanded,
+                SignoffOptions {
+                    use_context_library,
+                    ..SignoffOptions::default()
+                },
+            );
+            let l_nom = flow.options().characterize.nominal_length_nm;
+            let corners = flow.options().budget.traditional_corners(l_nom);
+            // Cold, then warm from the memos.
+            for _ in 0..2 {
+                let run = flow.run_with_provenance(&mapped, &placement).unwrap();
+                let lengths = [corners.bc_nm, corners.nom_nm, corners.wc_nm];
+                for (analysis, l) in run.traditional.iter().zip(lengths) {
+                    let expected = CellBinding::uniform_scaled(&mapped, &lib, l).unwrap();
+                    assert_eq!(analysis.binding, expected, "traditional L = {l}");
+                }
+                for (analysis, corner) in run.aware.iter().zip(Corner::ALL) {
+                    let cells = (0..mapped.instances().len())
+                        .map(|i| {
+                            flow.characterize_instance(
+                                &mapped,
+                                i,
+                                run.contexts[i],
+                                &run.classes[i],
+                                corner,
+                            )
+                            .unwrap()
+                        })
+                        .collect();
+                    let expected = CellBinding::new(&mapped, cells).unwrap();
+                    assert_eq!(analysis.binding, expected, "aware {corner:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_moved_output_pin_rebuilds_the_cached_topology() {
+        let (lib, expanded, _, _) = setup();
+        let flow = SignoffFlow::new(&lib, &expanded, SignoffOptions::default());
+        let timing = flow.options().timing;
+        let n = bench::parse("# t\nINPUT(a)\nINPUT(b)\nOUTPUT(z)\nz = NAND(a, b)\n").unwrap();
+        let m = technology_map(&n, &lib).unwrap();
+        let binding = CellBinding::nominal(&m, &lib).unwrap();
+        // The same netlist (one stamp) with the NAND's variant declaring
+        // B its output pin; Z becomes a pin the timer ignores.
+        let mut moved = binding.clone();
+        let mut cell = binding.cell(0).clone();
+        for pin in &mut cell.pins {
+            match pin.name.as_str() {
+                "B" => pin.capacitance_pf = 0.0,
+                "Z" => pin.capacitance_pf = -1.0,
+                _ => {}
+            }
+        }
+        moved.replace(&m, 0, cell).unwrap();
+
+        let fresh = |b: &CellBinding| analyze_full(&m, b, &timing).unwrap();
+        assert_eq!(flow.analyze_corner(&m, &binding).unwrap(), fresh(&binding));
+        // The cached topology still matches the netlist's stamp, and a
+        // direct analysis against it answers with the typed error...
+        let (cached, built) = flow.topo_for(&m, &moved, false).unwrap();
+        assert!(!built);
+        let direct = analyze_full_in(&m, &moved, &timing, &cached, &ScratchArena::new());
+        assert!(
+            matches!(direct, Err(StaError::InvalidBinding { .. })),
+            "{direct:?}"
+        );
+        // ...while the flow rebuilds it and times the moved binding as a
+        // fresh analysis does, and the original one again after that.
+        assert_eq!(flow.analyze_corner(&m, &moved).unwrap(), fresh(&moved));
+        assert_eq!(flow.analyze_corner(&m, &binding).unwrap(), fresh(&binding));
     }
 
     #[test]

@@ -261,13 +261,23 @@ pub fn publish_status_gauges() {
 mod tests {
     use super::*;
 
-    // Heartbeat slots and the armed flag are process-global; tests that
-    // manipulate them run under this lock (the integration test in
-    // `tests/watchdog.rs` is a separate process).
+    // Heartbeat slots are process-global; tests that claim them run under
+    // this lock, each on a thread of its own that has exited — and so
+    // given its slot back — before the lock is released. Nothing in this
+    // binary arms the watchdog: armed, every pool task of every other
+    // test here would claim and free slots behind the lock's back.
+    // Arming is tested in `tests/watchdog.rs`, a separate process.
     fn state_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
         LOCK.lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Runs `f` on a new thread and joins it. A joined thread has run its
+    /// thread-local destructors, so its slot is free again on return; a
+    /// `thread::scope` can return before they run.
+    fn on_own_thread<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> R {
+        std::thread::spawn(f).join().unwrap()
     }
 
     #[test]
@@ -278,19 +288,17 @@ mod tests {
         // a heartbeat backdated to the epoch reads as stalled.
         let _ = now_ns();
         std::thread::sleep(Duration::from_millis(5));
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                task_begin();
-                // Backdate the heartbeat instead of sleeping.
-                MY_SLOT.with(|cell| {
-                    let idx = cell.borrow().as_ref().unwrap().idx;
-                    SLOTS[idx].task_started_ns.store(1, Ordering::Relaxed);
-                });
-                assert_eq!(scan(1_000_000), 1, "backdated task counts as stalled");
-                assert_eq!(scan(1_000_000), 1, "still stalled on rescan");
-                task_end();
-                assert_eq!(scan(1_000_000), 0, "finished task clears the gauge");
+        on_own_thread(|| {
+            task_begin();
+            // Backdate the heartbeat instead of sleeping.
+            MY_SLOT.with(|cell| {
+                let idx = cell.borrow().as_ref().unwrap().idx;
+                SLOTS[idx].task_started_ns.store(1, Ordering::Relaxed);
             });
+            assert_eq!(scan(1_000_000), 1, "backdated task counts as stalled");
+            assert_eq!(scan(1_000_000), 1, "still stalled on rescan");
+            task_end();
+            assert_eq!(scan(1_000_000), 0, "finished task clears the gauge");
         });
         assert_eq!(
             STALL_EVENTS.load(Ordering::Relaxed),
@@ -302,26 +310,24 @@ mod tests {
     #[test]
     fn nested_tasks_keep_the_outer_heartbeat() {
         let _guard = state_lock();
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                task_begin();
-                let started = MY_SLOT.with(|cell| {
-                    let idx = cell.borrow().as_ref().unwrap().idx;
-                    SLOTS[idx].task_started_ns.load(Ordering::Relaxed)
-                });
-                assert!(started > 0);
-                task_begin(); // inner batch on the same thread
-                task_end();
-                let after_inner = MY_SLOT.with(|cell| {
-                    let idx = cell.borrow().as_ref().unwrap().idx;
-                    SLOTS[idx].task_started_ns.load(Ordering::Relaxed)
-                });
-                assert_eq!(
-                    after_inner, started,
-                    "inner task_end must not clear the outer heartbeat"
-                );
-                task_end();
+        on_own_thread(|| {
+            task_begin();
+            let started = MY_SLOT.with(|cell| {
+                let idx = cell.borrow().as_ref().unwrap().idx;
+                SLOTS[idx].task_started_ns.load(Ordering::Relaxed)
             });
+            assert!(started > 0);
+            task_begin(); // inner batch on the same thread
+            task_end();
+            let after_inner = MY_SLOT.with(|cell| {
+                let idx = cell.borrow().as_ref().unwrap().idx;
+                SLOTS[idx].task_started_ns.load(Ordering::Relaxed)
+            });
+            assert_eq!(
+                after_inner, started,
+                "inner task_end must not clear the outer heartbeat"
+            );
+            task_end();
         });
     }
 
@@ -331,14 +337,12 @@ mod tests {
         let claimed = |idx: usize| SLOTS[idx].in_use.load(Ordering::Relaxed);
         let mut seen = Vec::new();
         for _ in 0..3 {
-            let idx = std::thread::spawn(|| {
+            let idx = on_own_thread(|| {
                 task_begin();
                 let idx = MY_SLOT.with(|cell| cell.borrow().as_ref().unwrap().idx);
                 task_end();
                 idx
-            })
-            .join()
-            .unwrap();
+            });
             assert!(!claimed(idx), "slot must free on thread exit");
             seen.push(idx);
         }
@@ -346,18 +350,5 @@ mod tests {
         // per thread (bounded by peak concurrency, like timeline rings).
         assert_eq!(seen[0], seen[1]);
         assert_eq!(seen[1], seen[2]);
-    }
-
-    #[test]
-    fn status_reports_armed_state_and_deadline() {
-        let _guard = state_lock();
-        assert!(status().healthy(), "disarmed watchdog is always healthy");
-        arm(Duration::from_secs(5));
-        let s = status();
-        assert!(s.armed);
-        assert_eq!(s.deadline, Duration::from_secs(5));
-        disarm();
-        assert!(!status().armed);
-        assert_eq!(status().stalled_now, 0);
     }
 }

@@ -1,10 +1,13 @@
 //! End-to-end watchdog test: arm it, run a pool batch with one task that
 //! blows the deadline, and assert the stall is detected by the live
 //! monitor thread, surfaced through the registry, and cleared once the
-//! batch drains.
+//! batch drains; `status()` reports the armed flag and deadline before
+//! and after.
 //!
-//! Single `#[test]`: the armed flag, heartbeat slots, and stall counters
-//! are process-global.
+//! Single `#[test]`, and the only place that arms the watchdog: the armed
+//! flag, heartbeat slots, and stall counters are process-global, and an
+//! armed watchdog makes every pool task of a concurrent test claim a
+//! slot (the crate's lib tests assert slot reuse, so they never arm it).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -14,10 +17,16 @@ use svt_exec::{par_map_threads, watchdog};
 #[test]
 fn stalled_pool_task_trips_the_watchdog_and_recovers() {
     assert!(!watchdog::armed(), "watchdog must default to disarmed");
-    assert!(watchdog::status().healthy());
+    assert!(
+        watchdog::status().healthy(),
+        "disarmed watchdog is always healthy"
+    );
 
     // Fast tasks under a generous deadline never trip.
     watchdog::arm(Duration::from_secs(30));
+    let armed = watchdog::status();
+    assert!(armed.armed);
+    assert_eq!(armed.deadline, Duration::from_secs(30));
     let items: Vec<u64> = (0..64).collect();
     let out = par_map_threads(4, &items, |&x| x + 1);
     assert_eq!(out, (1..65).collect::<Vec<u64>>());
@@ -82,5 +91,8 @@ fn stalled_pool_task_trips_the_watchdog_and_recovers() {
     );
 
     watchdog::disarm();
-    assert!(watchdog::status().healthy());
+    let disarmed = watchdog::status();
+    assert!(!disarmed.armed);
+    assert_eq!(disarmed.stalled_now, 0);
+    assert!(disarmed.healthy());
 }

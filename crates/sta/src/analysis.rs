@@ -7,7 +7,7 @@ use svt_exec::ScratchArena;
 use svt_netlist::MappedNetlist;
 use svt_stdcell::{CharacterizedCell, Library, Pin};
 
-use crate::incremental::{SharedTopology, StaState, Topology};
+use crate::incremental::{stale, SharedTopology, StaState, Topology};
 use crate::report::{FromRef, TimingReport};
 use crate::{CellBinding, StaError};
 
@@ -121,16 +121,18 @@ pub fn analyze_full_with_wire_caps(
 
 /// [`analyze_full`] against a pre-built [`SharedTopology`] and a
 /// caller-provided [`ScratchArena`] — the hot-path entry point. The
-/// topology is verified ([`SharedTopology::verify`]: a stamp comparison
-/// and one output-pin check per instance, no allocation) rather than
-/// rebuilt, and the pass's temporaries are carved from `scratch` instead
-/// of the heap, so repeated warm analyses of the same design (the six
-/// sign-off corners) allocate only their result vectors.
+/// topology is checked rather than rebuilt: an O(1) stamp comparison,
+/// then the arc-resolution pass compares each instance's output pin with
+/// the recorded one (an integer compare, folded into the pass every
+/// analysis runs anyway). The pass's temporaries are carved from
+/// `scratch` instead of the heap, so repeated warm analyses of the same
+/// design (the six sign-off corners) allocate only their result vectors.
 ///
 /// # Errors
 ///
 /// As [`analyze`], plus [`StaError::InvalidBinding`] when
-/// `netlist`/`binding` no longer match `topo`.
+/// `netlist`/`binding` no longer match `topo` (another netlist, or an
+/// output pin that moved).
 pub fn analyze_full_in(
     netlist: &MappedNetlist,
     binding: &CellBinding,
@@ -139,15 +141,16 @@ pub fn analyze_full_in(
     scratch: &ScratchArena,
 ) -> Result<StaState, StaError> {
     validate(netlist, binding, options)?;
-    topo.0.verify(netlist, binding)?;
+    topo.0.check_stamp(netlist)?;
     analyze_soa(netlist, binding, options, &HashMap::new(), &topo.0, scratch)
 }
 
-/// The shared SoA analysis core: levelized forward propagation over flat
-/// id-indexed lanes, then the backward required-time pass. Temporaries
-/// (readiness counts, the pending stack, resolve flags) live in
-/// `scratch`; only the result vectors are heap-allocated.
-#[allow(clippy::too_many_lines)]
+/// The shared SoA analysis core: one arc-resolution pass, the net loads,
+/// levelized forward propagation over flat id-indexed lanes, then the
+/// backward required-time pass — all over the resolved arc slots, with
+/// no pin name compared. Temporaries (readiness counts, the pending
+/// stack, resolve flags, the variant table) live in `scratch`; only the
+/// result vectors are heap-allocated.
 fn analyze_soa(
     netlist: &MappedNetlist,
     binding: &CellBinding,
@@ -163,10 +166,9 @@ fn analyze_soa(
     let n = netlist.instances().len();
     let net_count = topo.net_names.len();
     let (wire_caps, extra_loads) = intern_wire_caps(wire_caps_pf, topo)?;
+    let mut arcs = resolve_arcs(netlist, binding, topo, scratch)?;
     let mut loads = vec![0.0_f64; net_count];
-    sum_loads(
-        netlist, binding, options, topo, &wire_caps, None, &mut loads,
-    );
+    sum_loads(binding, options, topo, &arcs, &wire_caps, None, &mut loads);
 
     // Net timing state: one lane per quantity, indexed by net id.
     let mut arrival = vec![0.0_f64; net_count];
@@ -182,60 +184,40 @@ fn analyze_soa(
     }
 
     // Levelize instances by input readiness (Kahn's algorithm over the
-    // instance graph) and lay out the CSR arc store: each instance's
-    // slot holds one arc per connected input pin.
+    // instance graph): an instance waits for one net per arc.
     let pending: &mut [u32] = scratch.alloc_slice_fill(n, 0u32);
     let mut pending_len = 0usize;
     let unresolved: &mut [u32] = scratch.alloc_slice_fill(n, 0u32);
-    let mut arc_offsets: Vec<u32> = Vec::with_capacity(n + 1);
-    arc_offsets.push(0);
-    for (idx, inst) in netlist.instances().iter().enumerate() {
-        let cell = binding.cell(idx);
-        let mut count = 0u32;
-        let mut arcs_here = 0u32;
-        for pin in &cell.pins {
-            if pin.capacitance_pf <= 0.0 {
-                continue;
-            }
-            // Connected: Topology::build rejected unconnected input pins.
-            if let Some(conn) = inst.connections.iter().position(|(p, _)| *p == pin.name) {
-                arcs_here += 1;
-                if !resolved[topo.conn_ids[idx][conn] as usize] {
-                    count += 1;
-                }
-            }
-        }
-        arc_offsets.push(arc_offsets[idx] + arcs_here);
-        unresolved[idx] = count;
+    for (idx, waiting) in unresolved.iter_mut().enumerate() {
+        let count = arcs
+            .of(idx)
+            .iter()
+            .filter(|a| !resolved[a.net as usize])
+            .count();
+        *waiting = u32::try_from(count).expect("arc count fits u32");
         if count == 0 {
             pending[pending_len] = u32::try_from(idx).expect("instance count fits u32");
             pending_len += 1;
         }
     }
-    let mut arc_data: Vec<(u32, f64)> = vec![(u32::MAX, 0.0); arc_offsets[n] as usize];
 
     let mut evaluated = 0usize;
     let mut completion_order: Vec<usize> = Vec::with_capacity(n);
-    let mut eval = EvalScratch::default();
     while pending_len > 0 {
         pending_len -= 1;
         let idx = pending[pending_len] as usize;
         evaluated += 1;
         completion_order.push(idx);
+        let out_id = topo.out_net[idx] as usize;
         let out = evaluate_instance(
-            netlist,
-            binding,
+            binding.cell(idx),
             idx,
-            topo,
-            &loads,
+            arcs.of_mut(idx),
+            loads[out_id],
             &arrival,
             &slew,
             options.mode,
-            &mut eval,
-        )?;
-        arc_data[arc_offsets[idx] as usize..arc_offsets[idx + 1] as usize]
-            .copy_from_slice(&eval.arcs);
-        let out_id = topo.out_net[idx] as usize;
+        );
         arrival[out_id] = out.arrival_ns;
         slew[out_id] = out.slew_ns;
         from[out_id] = out.from;
@@ -281,11 +263,9 @@ fn analyze_soa(
                 continue; // net drives nothing timed
             }
             let r_out = required[out_id];
-            for &(in_id, delay) in
-                &arc_data[arc_offsets[idx] as usize..arc_offsets[idx + 1] as usize]
-            {
-                let candidate = r_out - delay;
-                let i = in_id as usize;
+            for arc in arcs.of(idx) {
+                let candidate = r_out - arc.delay;
+                let i = arc.net as usize;
                 if has_required[i] {
                     required[i] = required[i].min(candidate);
                 } else {
@@ -311,8 +291,7 @@ fn analyze_soa(
         wire_caps,
         loads,
         extra_loads,
-        arc_offsets,
-        arc_data,
+        arcs,
         completion_order,
         topo: Arc::clone(topo),
     })
@@ -367,13 +346,321 @@ fn intern_wire_caps(
     Ok((inside, extra))
 }
 
+/// One resolved timing arc of an instance: everything a timing pass needs
+/// to read it with integer indexing only. The resolution pass fills all
+/// but `delay`, which evaluation writes and the required-time pass reads.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct ArcSlot {
+    /// Arc delay (ns) of the last evaluation.
+    pub delay: f64,
+    /// Topology id of the net the arc's input pin samples.
+    pub net: u32,
+    /// Index of the input pin's entry in the instance's `connections`.
+    pub conn: u16,
+    /// Index of the input pin in the bound variant's `pins`.
+    pub pin: u8,
+    /// Index of the pin's arc in the bound variant's `arcs`.
+    pub arc: u8,
+}
+
+// The resolved slot costs what the `(net, delay)` pair it replaced did.
+const _: () = assert!(std::mem::size_of::<ArcSlot>() == 16);
+
+/// The resolved arcs of every instance in CSR layout: instance `i`'s arcs
+/// are `data[offsets[i]..offsets[i + 1]]`, one per input pin of its bound
+/// variant, in the variant's pin order.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct ArcStore {
+    /// Length `instances + 1`.
+    pub offsets: Vec<u32>,
+    pub data: Vec<ArcSlot>,
+}
+
+impl ArcStore {
+    /// Instance `idx`'s arcs.
+    pub(crate) fn of(&self, idx: usize) -> &[ArcSlot] {
+        &self.data[self.offsets[idx] as usize..self.offsets[idx + 1] as usize]
+    }
+
+    /// Instance `idx`'s arcs, writable.
+    pub(crate) fn of_mut(&mut self, idx: usize) -> &mut [ArcSlot] {
+        &mut self.data[self.offsets[idx] as usize..self.offsets[idx + 1] as usize]
+    }
+}
+
+/// Interned-name sentinel: a pin name no connection uses, so no instance
+/// connects it. [`Topology`] keeps real pin-name ids below it.
+pub(crate) const NO_PIN: u16 = u16::MAX;
+
+/// Arc-index sentinel of a compiled input pin that has no arc.
+const NO_ARC: u8 = u8::MAX;
+
+/// One input pin of a compiled variant.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct InputPin {
+    /// Index in the variant's `pins`.
+    pin: u8,
+    /// Interned pin-name id ([`NO_PIN`] when no connection uses the name).
+    name: u16,
+    /// Index of the pin's arc in the variant's `arcs` ([`NO_ARC`]: none).
+    arc: u8,
+}
+
+/// The distinct variants of a binding, each compiled once against the
+/// topology's interned pin names: its output pin's id and, in pin order,
+/// each input pin's index, name id and arc index. Variants are told apart
+/// by `Arc` address through an open-addressing table carved from scratch,
+/// so resolving an instance costs one probe plus `u16` compares against
+/// its interned connection pins — whether the binding shares one `Arc`
+/// per master or clones every variant.
+pub(crate) struct Variants<'s> {
+    scratch: &'s ScratchArena,
+    /// `Arc` address per table slot; 0 marks a free slot.
+    keys: &'s mut [usize],
+    /// Variant id per table slot.
+    ids: &'s mut [u32],
+    /// Per variant: its output pin's name id (`None`: no output pin).
+    out: Vec<Option<u16>>,
+    /// CSR offsets of each variant's input pins in `inputs`.
+    offsets: Vec<u32>,
+    inputs: Vec<InputPin>,
+}
+
+impl<'s> Variants<'s> {
+    pub(crate) fn new(scratch: &'s ScratchArena) -> Variants<'s> {
+        const START: usize = 64;
+        Variants {
+            scratch,
+            keys: scratch.alloc_slice_fill(START, 0usize),
+            ids: scratch.alloc_slice_fill(START, 0u32),
+            out: Vec::new(),
+            offsets: vec![0],
+            inputs: Vec::new(),
+        }
+    }
+
+    /// The compiled form of `cell` — output pin id and input pins —
+    /// compiling it against `pin_names` on first sight.
+    ///
+    /// # Errors
+    ///
+    /// [`StaError::InvalidBinding`] when the variant does not fit the
+    /// [`ArcSlot`] packing (more than 256 pins or 255 arcs).
+    pub(crate) fn get(
+        &mut self,
+        cell: &Arc<CharacterizedCell>,
+        pin_names: &[String],
+    ) -> Result<(Option<u16>, &[InputPin]), StaError> {
+        let key = Arc::as_ptr(cell) as usize;
+        let id = match self.probe(key) {
+            Ok(id) => id,
+            Err(free) => {
+                let id = u32::try_from(self.out.len()).expect("variant count fits u32");
+                self.compile(cell, pin_names)?;
+                self.keys[free] = key;
+                self.ids[free] = id;
+                if 2 * self.out.len() > self.keys.len() {
+                    self.grow();
+                }
+                id
+            }
+        } as usize;
+        let inputs = &self.inputs[self.offsets[id] as usize..self.offsets[id + 1] as usize];
+        Ok((self.out[id], inputs))
+    }
+
+    /// `Ok(id)` of a known key, else `Err(slot)` of the free table slot
+    /// the key would take.
+    fn probe(&self, key: usize) -> Result<u32, usize> {
+        let mask = self.keys.len() - 1;
+        let mut i = Self::home(key, mask);
+        loop {
+            match self.keys[i] {
+                0 => return Err(i),
+                k if k == key => return Ok(self.ids[i]),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// Fibonacci hash of an address: its high product bits mix the
+    /// (always zero) alignment bits away.
+    fn home(key: usize, mask: usize) -> usize {
+        ((key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask
+    }
+
+    /// Doubles the table into a fresh scratch carve-out, keeping it at
+    /// most half full.
+    fn grow(&mut self) {
+        let cap = 2 * self.keys.len();
+        let keys = std::mem::replace(&mut self.keys, self.scratch.alloc_slice_fill(cap, 0));
+        let ids = std::mem::replace(&mut self.ids, self.scratch.alloc_slice_fill(cap, 0));
+        for (&key, &id) in keys.iter().zip(ids.iter()).filter(|(&key, _)| key != 0) {
+            if let Err(free) = self.probe(key) {
+                self.keys[free] = key;
+                self.ids[free] = id;
+            }
+        }
+    }
+
+    fn compile(&mut self, cell: &CharacterizedCell, pin_names: &[String]) -> Result<(), StaError> {
+        let interned = |name: &str| {
+            pin_names
+                .iter()
+                .position(|p| p == name)
+                .map_or(NO_PIN, |i| {
+                    u16::try_from(i).expect("Topology keeps pin-name ids below NO_PIN")
+                })
+        };
+        let too_wide = || StaError::InvalidBinding {
+            reason: format!(
+                "variant `{}` does not fit the arc slot packing ({} pins, {} arcs; \
+                 at most 256 pins and 255 arcs)",
+                cell.variant_name,
+                cell.pins.len(),
+                cell.arcs.len()
+            ),
+        };
+        for (p, pin) in cell.pins.iter().enumerate() {
+            if pin.capacitance_pf <= 0.0 {
+                continue;
+            }
+            let arc = match cell.arcs.iter().position(|a| a.from_pin == pin.name) {
+                Some(a) => u8::try_from(a).ok().filter(|&a| a != NO_ARC),
+                None => Some(NO_ARC),
+            };
+            let (Ok(p), Some(arc)) = (u8::try_from(p), arc) else {
+                return Err(too_wide());
+            };
+            self.inputs.push(InputPin {
+                pin: p,
+                name: interned(&pin.name),
+                arc,
+            });
+        }
+        self.out.push(output_pin(cell).map(|p| interned(&p.name)));
+        self.offsets
+            .push(u32::try_from(self.inputs.len()).expect("input pin count fits u32"));
+        Ok(())
+    }
+}
+
+/// The `connections` index of a compiled input pin of instance `idx`.
+///
+/// # Errors
+///
+/// [`StaError::MissingTiming`] when no connection uses the pin's name.
+pub(crate) fn input_conn(
+    netlist: &MappedNetlist,
+    conn_pins: &[u16],
+    idx: usize,
+    cell: &CharacterizedCell,
+    input: InputPin,
+) -> Result<usize, StaError> {
+    conn_pins
+        .iter()
+        .position(|&p| p == input.name)
+        .ok_or_else(|| StaError::MissingTiming {
+            instance: netlist.instances()[idx].name.clone(),
+            reason: format!(
+                "input pin `{}` unconnected",
+                cell.pins[usize::from(input.pin)].name
+            ),
+        })
+}
+
+/// Resolves instance `idx`'s arcs from its variant's compiled pins
+/// (`out`, `inputs`): checks that the variant drives the topology's
+/// recorded output pin and that every input pin is connected and has an
+/// arc, then pushes one [`ArcSlot`] per input pin, in pin order, with a
+/// zero delay.
+///
+/// # Errors
+///
+/// [`StaError::InvalidBinding`] when the output pin moved (the topology
+/// is stale) or a connection index does not fit the packing;
+/// [`StaError::MissingTiming`] when the variant has no output or no input
+/// pin, or an input pin is unconnected or lacks an arc.
+pub(crate) fn resolve_instance(
+    netlist: &MappedNetlist,
+    topo: &Topology,
+    idx: usize,
+    cell: &CharacterizedCell,
+    out: Option<u16>,
+    inputs: &[InputPin],
+    slots: &mut Vec<ArcSlot>,
+) -> Result<(), StaError> {
+    let missing = |reason: String| StaError::MissingTiming {
+        instance: netlist.instances()[idx].name.clone(),
+        reason,
+    };
+    match out {
+        None => return Err(missing("variant has no output pin".into())),
+        Some(out) if out != topo.out_pin[idx] => {
+            return Err(stale(&format!(
+                "output pin of `{}` moved",
+                netlist.instances()[idx].name
+            )))
+        }
+        Some(_) => {}
+    }
+    if inputs.is_empty() {
+        return Err(missing("no input pins".into()));
+    }
+    for &input in inputs {
+        let conn = input_conn(netlist, &topo.conn_pins[idx], idx, cell, input)?;
+        if input.arc == NO_ARC {
+            let pin = &cell.pins[usize::from(input.pin)].name;
+            return Err(missing(format!("no arc from pin `{pin}`")));
+        }
+        let conn_u16 = u16::try_from(conn).map_err(|_| StaError::InvalidBinding {
+            reason: format!(
+                "instance `{}` has more connections than the arc slot packing holds",
+                netlist.instances()[idx].name
+            ),
+        })?;
+        slots.push(ArcSlot {
+            delay: 0.0,
+            net: topo.conn_ids[idx][conn],
+            conn: conn_u16,
+            pin: input.pin,
+            arc: input.arc,
+        });
+    }
+    Ok(())
+}
+
+/// The arc-resolution pass of a full analysis: every instance's arcs,
+/// resolved through one [`Variants`] table, into a fresh [`ArcStore`].
+/// It also proves the topology still fits the binding (each output pin is
+/// the recorded one), so no separate verification sweep is needed.
+fn resolve_arcs(
+    netlist: &MappedNetlist,
+    binding: &CellBinding,
+    topo: &Topology,
+    scratch: &ScratchArena,
+) -> Result<ArcStore, StaError> {
+    let n = netlist.instances().len();
+    let mut variants = Variants::new(scratch);
+    let mut offsets: Vec<u32> = Vec::with_capacity(n + 1);
+    offsets.push(0);
+    let mut data: Vec<ArcSlot> = Vec::with_capacity(topo.arc_count);
+    for (idx, cell) in binding.cells().iter().enumerate() {
+        let (out, inputs) = variants.get(cell, &topo.pin_names)?;
+        resolve_instance(netlist, topo, idx, cell, out, inputs, &mut data)?;
+        offsets.push(u32::try_from(data.len()).expect("arc count fits u32"));
+    }
+    Ok(ArcStore { offsets, data })
+}
+
 /// Sums net loads (pF) into `loads`: every net when `nets` is `None`
 /// (then `loads` must be all zero), else just the listed nets (sorted,
 /// distinct), which it resets first. Each net's terms are added in one
 /// fixed order: each sink pin's capacitance plus the per-fanout wire lump
-/// in ascending instance order and, within an instance, pin order; then
-/// the primary-output load once per listing; then the net's explicit
-/// wire cap (`wire_caps` sorted by net id).
+/// in ascending instance order and, within an instance, pin order (the
+/// order of its resolved arcs); then the primary-output load once per
+/// listing; then the net's explicit wire cap (`wire_caps` sorted by net
+/// id).
 ///
 /// The full analysis sums every net through this routine and
 /// [`StaState::update`] only the nets a re-bound instance samples. The
@@ -381,26 +668,21 @@ fn intern_wire_caps(
 /// timer, so sharing it is what makes incremental loads bit-identical to
 /// a full rebuild.
 pub(crate) fn sum_loads(
-    netlist: &MappedNetlist,
     binding: &CellBinding,
     options: &TimingOptions,
     topo: &Topology,
+    arcs: &ArcStore,
     wire_caps: &[(u32, f64)],
     nets: Option<&[u32]>,
     loads: &mut [f64],
 ) {
     let selected = |net: u32| nets.is_none_or(|list| list.binary_search(&net).is_ok());
     let add_pins = |u: usize, loads: &mut [f64]| {
-        let inst = &netlist.instances()[u];
-        for pin in &binding.cell(u).pins {
-            if pin.capacitance_pf <= 0.0 {
-                continue;
-            }
-            if let Some(conn) = inst.connections.iter().position(|(p, _)| *p == pin.name) {
-                let net = topo.conn_ids[u][conn];
-                if selected(net) {
-                    loads[net as usize] += pin.capacitance_pf + options.wire_cap_per_fanout_pf;
-                }
+        let pins = &binding.cell(u).pins;
+        for arc in arcs.of(u) {
+            if selected(arc.net) {
+                loads[arc.net as usize] +=
+                    pins[usize::from(arc.pin)].capacitance_pf + options.wire_cap_per_fanout_pf;
             }
         }
     };
@@ -415,7 +697,7 @@ pub(crate) fn sum_loads(
     };
     match nets {
         None => {
-            for u in 0..netlist.instances().len() {
+            for u in 0..topo.out_net.len() {
                 add_pins(u, loads);
             }
             for net in 0..topo.net_names.len() {
@@ -444,7 +726,7 @@ pub(crate) fn sum_loads(
 
 /// A variant's output pin: its first zero-capacitance pin, the role
 /// convention of the whole timer.
-pub(crate) fn output_pin(cell: &CharacterizedCell) -> Option<&Pin> {
+fn output_pin(cell: &CharacterizedCell) -> Option<&Pin> {
     cell.pins.iter().find(|p| p.capacitance_pf == 0.0)
 }
 
@@ -455,72 +737,37 @@ pub(crate) struct EvalOut {
     pub from: FromRef,
 }
 
-/// Reusable evaluation buffer: the `(input net id, delay)` arcs of the
-/// most recent [`evaluate_instance`] call. One buffer serves a whole
-/// pass, so per-instance evaluation performs no allocation once it has
-/// grown to the widest cell.
-#[derive(Default)]
-pub(crate) struct EvalScratch {
-    pub arcs: Vec<(u32, f64)>,
-}
-
-/// Evaluates one instance against resolved upstream net timings: arc
-/// delay/slew lookups, worst-slew merge, and the arrival pick. Pure in
-/// `(binding.cell(idx), upstream timings, loads)` — the incremental
-/// update re-runs exactly this function for dirty instances, which is
-/// why cone-limited recomputation is bit-identical to a full pass.
+/// Evaluates instance `idx` against resolved upstream net timings: per
+/// arc, the delay/slew lookup at the arc's input slew and the output
+/// `load`, the worst-slew merge, and the arrival pick. Pure in `(cell,
+/// arcs, upstream timings, load)` — the full pass and the incremental
+/// update both run exactly this function, which is why cone-limited
+/// recomputation is bit-identical to a full pass.
 ///
-/// Arcs are left in `eval.arcs` (one per connected input pin, in
-/// `cell.pins` order) for the caller to copy into its CSR slot.
-#[allow(clippy::too_many_arguments)]
+/// Reads each arc as `cell.arcs[arc.arc]` from the net `arc.net` and
+/// writes its delay into `arc.delay` for the required-time pass.
 pub(crate) fn evaluate_instance(
-    netlist: &MappedNetlist,
-    binding: &CellBinding,
+    cell: &CharacterizedCell,
     idx: usize,
-    topo: &Topology,
-    loads: &[f64],
+    arcs: &mut [ArcSlot],
+    load: f64,
     arrival: &[f64],
     slew: &[f64],
     mode: AnalysisMode,
-    eval: &mut EvalScratch,
-) -> Result<EvalOut, StaError> {
+) -> EvalOut {
     let pick = |a: f64, b: f64| match mode {
         AnalysisMode::Late => a.max(b),
         AnalysisMode::Early => a.min(b),
     };
-    let inst = &netlist.instances()[idx];
-    let cell = binding.cell(idx);
-    let out_id = topo.out_net[idx];
-    let load = loads[out_id as usize];
-
-    eval.arcs.clear();
     let mut best: Option<EvalOut> = None;
     let mut merged_slew: Option<f64> = None;
-    for pin in &cell.pins {
-        if pin.capacitance_pf <= 0.0 {
-            continue;
-        }
-        let conn = inst
-            .connections
-            .iter()
-            .position(|(p, _)| *p == pin.name)
-            .ok_or_else(|| StaError::MissingTiming {
-                instance: inst.name.clone(),
-                reason: format!("input pin `{}` unconnected", pin.name),
-            })?;
-        let (pin_name, _) = &inst.connections[conn];
-        let in_id = topo.conn_ids[idx][conn] as usize;
-        let arc = cell
-            .arc_from(pin_name)
-            .ok_or_else(|| StaError::MissingTiming {
-                instance: inst.name.clone(),
-                reason: format!("no arc from pin `{pin_name}`"),
-            })?;
+    for slot in arcs {
+        let arc = &cell.arcs[usize::from(slot.arc)];
+        let in_id = slot.net as usize;
         let delay = arc.delay.lookup(slew[in_id], load);
         let out_slew = arc.output_slew.lookup(slew[in_id], load);
         let arc_arrival = arrival[in_id] + delay;
-        eval.arcs
-            .push((u32::try_from(in_id).expect("net count fits u32"), delay));
+        slot.delay = delay;
         // Slew merges independently of the arrival winner (classic
         // worst-slew propagation).
         merged_slew = Some(match merged_slew {
@@ -537,17 +784,14 @@ pub(crate) fn evaluate_instance(
                 slew_ns: out_slew,
                 from: FromRef {
                     inst: u32::try_from(idx).expect("instance count fits u32"),
-                    conn: u32::try_from(conn).expect("connection count fits u32"),
+                    conn: u32::from(slot.conn),
                 },
             });
         }
     }
-    let mut out = best.ok_or_else(|| StaError::MissingTiming {
-        instance: inst.name.clone(),
-        reason: "no input pins".into(),
-    })?;
+    let mut out = best.expect("resolution rejects variants without input pins");
     out.slew_ns = merged_slew.expect("best implies at least one arc");
-    Ok(out)
+    out
 }
 
 /// Convenience: nominal-corner analysis straight from a library.
@@ -675,6 +919,46 @@ mod tests {
             &scratch
         )
         .is_err());
+    }
+
+    #[test]
+    fn shared_topology_rejects_a_moved_output_pin() {
+        let (m, lib) = mapped("# t\nINPUT(a)\nINPUT(b)\nOUTPUT(z)\nz = NAND(a, b)\n");
+        let binding = CellBinding::nominal(&m, &lib).unwrap();
+        let topo = SharedTopology::build(&m, &binding).unwrap();
+        // Same netlist and stamp; the variant now declares B its output
+        // pin and Z a pin the timer ignores.
+        let mut cell = binding.cell(0).clone();
+        for pin in &mut cell.pins {
+            match pin.name.as_str() {
+                "B" => pin.capacitance_pf = 0.0,
+                "Z" => pin.capacitance_pf = -1.0,
+                _ => {}
+            }
+        }
+        let moved = CellBinding::new(&m, vec![cell]).unwrap();
+        let opts = TimingOptions::default();
+        let result = analyze_full_in(&m, &moved, &opts, &topo, &ScratchArena::new());
+        assert!(
+            matches!(result, Err(StaError::InvalidBinding { .. })),
+            "{result:?}"
+        );
+        // A topology interned from the moved binding times it.
+        assert!(analyze_full(&m, &moved, &opts).is_ok());
+    }
+
+    #[test]
+    fn a_variant_wider_than_the_slot_packing_is_a_typed_error() {
+        let (m, lib) = mapped("# t\nINPUT(a)\nOUTPUT(z)\nz = NOT(a)\n");
+        let mut wide = CellBinding::nominal(&m, &lib).unwrap().cell(0).clone();
+        let extra = (0..300).map(|i| Pin::input(format!("X{i}"), 0.001));
+        wide.pins.extend(extra);
+        let binding = CellBinding::new(&m, vec![wide]).unwrap();
+        let result = analyze(&m, &binding, &TimingOptions::default());
+        assert!(
+            matches!(&result, Err(StaError::InvalidBinding { reason }) if reason.contains("packing")),
+            "{result:?}"
+        );
     }
 
     #[test]

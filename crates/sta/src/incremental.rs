@@ -3,10 +3,12 @@
 //! [`analyze_full`](crate::analyze_full) returns a [`StaState`] — the
 //! timing report plus the internal products a re-analysis needs (the
 //! interned netlist topology, the options and wire caps it ran with, net
-//! loads, per-arc delays, completion order). [`StaState::update`]
-//! re-times that state in place after an edit re-bound some instances,
-//! writing only what changed:
+//! loads, each instance's resolved arc slots with their delays, the
+//! completion order). [`StaState::update`] re-times that state in place
+//! after an edit re-bound some instances, writing only what changed:
 //!
+//! * **arcs** — only the slots of the re-bound instances, re-resolved
+//!   against the new variants,
 //! * **loads** — only the nets a re-bound instance samples,
 //! * **forward** — arrivals and slews of the instances whose inputs
 //!   really changed: an evaluated instance flags its users only when the
@@ -17,32 +19,37 @@
 //! The result is *bit-identical* to a from-scratch
 //! [`analyze`](crate::analyze) of the edited design, by construction:
 //!
-//! 1. Per-instance evaluation is a pure function of the bound variant,
-//!    the upstream net timings, and the output load — an instance whose
-//!    inputs, load and variant kept their bits keeps its outputs, and the
-//!    instances that are re-evaluated re-run exactly the shared
-//!    evaluation routine, in a valid topological order (the stored
-//!    completion order; a [`MappedNetlist::stamp`] match proves the
-//!    connectivity it was computed for is unchanged).
+//! 1. An arc slot is resolved by one routine for both passes, and
+//!    per-instance evaluation is a pure function of the bound variant,
+//!    its resolved slots, the upstream net timings, and the output load
+//!    — an instance whose inputs, load and variant kept their bits keeps
+//!    its outputs, and the instances that are re-evaluated re-run exactly
+//!    the shared evaluation routine, in a valid topological order (the
+//!    stored completion order; a [`MappedNetlist::stamp`] match proves
+//!    the connectivity it was computed for is unchanged).
 //! 2. Required-time merges replay every contribution into a recomputed
-//!    net in the full pass's order (reverse completion order).
+//!    net in the full pass's order (reverse completion order, each
+//!    instance's slots in pin order).
 //! 3. Net loads are the only other order-sensitive arithmetic, and the
 //!    full and the incremental analysis sum each net through one routine
-//!    ([`sum_loads`](crate::analysis::sum_loads)) in one fixed order.
+//!    ([`sum_loads`](crate::analysis::sum_loads)) over the slots, in one
+//!    fixed order.
 //!
-//! Everything an update touches is integer-keyed: [`Topology`] interns
-//! net names once per full analysis, and all timing state lives in flat
-//! id-indexed vectors (see [`TimingReport`]). An update's fixed cost is
-//! the pin-role check of the re-bound instances and linear flag scans
-//! over the stored completion order; its flag arrays come from a
-//! caller-supplied [`ScratchArena`](svt_exec::ScratchArena) (only the
-//! few touched nets and their sinks are listed on the heap), and nothing
-//! is cloned.
+//! Everything a pass touches is integer-keyed: [`Topology`] interns net
+//! and pin names once, each distinct bound variant is compiled once
+//! against the interned pin names, and every instance's arcs are resolved
+//! into slots (input net, connection, pin and arc index, delay) that the
+//! loads, levelization, evaluation and required-time passes read without
+//! comparing a pin name. An update's fixed cost is re-resolving the
+//! re-bound instances and linear flag scans over the stored completion
+//! order; its flag arrays come from a caller-supplied
+//! [`ScratchArena`](svt_exec::ScratchArena) (only the few touched nets
+//! and their sinks are listed on the heap), and nothing is cloned.
 //!
 //! The equivalence is enforced by `tests/soa_equivalence.rs` (whole
-//! states, chained updates) and by the `svt-eco` differential test, which
-//! compares incremental sessions against full rebuilds bit-for-bit across
-//! `SVT_THREADS` settings.
+//! states, chained updates, and a name-matching reference timer) and by
+//! the `svt-eco` differential test, which compares incremental sessions
+//! against full rebuilds bit-for-bit across `SVT_THREADS` settings.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -50,7 +57,9 @@ use std::sync::Arc;
 use svt_exec::ScratchArena;
 use svt_netlist::MappedNetlist;
 
-use crate::analysis::{evaluate_instance, output_pin, sum_loads, EvalScratch};
+use crate::analysis::{
+    evaluate_instance, input_conn, resolve_instance, sum_loads, ArcSlot, ArcStore, Variants, NO_PIN,
+};
 use crate::report::TimingReport;
 use crate::{CellBinding, StaError, TimingOptions};
 
@@ -74,8 +83,9 @@ pub(crate) struct Topology {
     pub(crate) pin_names: Vec<String>,
     /// Per instance, the net id of each `connections` entry, in order.
     pub(crate) conn_ids: Vec<Vec<u32>>,
-    /// Per instance, the pin-name id of each `connections` entry — used
-    /// only to reconstruct path reports without the netlist.
+    /// Per instance, the pin-name id of each `connections` entry: what
+    /// arc resolution matches a variant's compiled pins against, and how
+    /// path reports name pins without the netlist.
     pub(crate) conn_pins: Vec<Vec<u16>>,
     /// Per instance, the net id its output pin drives.
     pub(crate) out_net: Vec<u32>,
@@ -93,6 +103,9 @@ pub(crate) struct Topology {
     pub(crate) po_ids: Vec<u32>,
     /// Per net, how often `netlist.outputs()` lists it.
     pub(crate) po_count: Vec<u32>,
+    /// Connected input pins of the binding the topology was built from:
+    /// the arc count of an analysis with pin-compatible variants.
+    pub(crate) arc_count: usize,
 }
 
 /// Equality of what the ids mean. The stamp only names the netlist value
@@ -118,12 +131,19 @@ impl Eq for Topology {}
 impl Topology {
     /// Interns the bound netlist. Pin roles come from the binding: the
     /// first zero-capacitance pin is the output (as everywhere else in
-    /// the timer), every positive-capacitance pin is an input.
+    /// the timer), every positive-capacitance pin is an input. Each
+    /// distinct variant is compiled once against the interned pin names,
+    /// so no instance compares pin names.
     pub(crate) fn build(
         netlist: &MappedNetlist,
         binding: &CellBinding,
     ) -> Result<Topology, StaError> {
         let n = netlist.instances().len();
+        if binding.cells().len() != n {
+            return Err(StaError::InvalidBinding {
+                reason: "binding does not cover the netlist".into(),
+            });
+        }
         let mut net_names: Vec<String> = Vec::new();
         let mut net_ids: HashMap<String, u32> = HashMap::new();
         let mut intern = |name: &str, net_names: &mut Vec<String>| -> u32 {
@@ -161,60 +181,59 @@ impl Topology {
         }
 
         // Pin names recur across the whole design (a handful per
-        // library), so a linear probe beats hashing.
+        // library), so a linear probe beats hashing. Ids stay below
+        // `NO_PIN`, the resolution pass's "not interned" marker.
         let mut pin_names: Vec<String> = Vec::new();
         let mut conn_pins: Vec<Vec<u16>> = Vec::with_capacity(n);
         for inst in netlist.instances() {
-            conn_pins.push(
-                inst.connections
-                    .iter()
-                    .map(|(pin, _)| match pin_names.iter().position(|p| p == pin) {
-                        Some(i) => u16::try_from(i).expect("pin name count fits u16"),
-                        None => {
-                            pin_names.push(pin.clone());
-                            u16::try_from(pin_names.len() - 1).expect("pin name count fits u16")
-                        }
-                    })
-                    .collect(),
-            );
+            let mut pins = Vec::with_capacity(inst.connections.len());
+            for (pin, _) in &inst.connections {
+                let id = match pin_names.iter().position(|p| p == pin) {
+                    Some(i) => i,
+                    None => {
+                        pin_names.push(pin.clone());
+                        pin_names.len() - 1
+                    }
+                };
+                pins.push(
+                    u16::try_from(id)
+                        .ok()
+                        .filter(|&id| id != NO_PIN)
+                        .ok_or_else(|| StaError::InvalidBinding {
+                            reason: format!("more than {NO_PIN} distinct pin names"),
+                        })?,
+                );
+            }
+            conn_pins.push(pins);
         }
 
+        let scratch = ScratchArena::new();
+        let mut variants = Variants::new(&scratch);
         let mut out_net: Vec<u32> = Vec::with_capacity(n);
         let mut out_pin: Vec<u16> = Vec::with_capacity(n);
         let mut driver_of: Vec<u32> = vec![u32::MAX; net_names.len()];
         let mut users_of: Vec<Vec<u32>> = vec![Vec::new(); net_names.len()];
-        for (idx, inst) in netlist.instances().iter().enumerate() {
-            let cell = binding.cell(idx);
-            let out = output_pin(cell).ok_or_else(|| StaError::MissingTiming {
-                instance: inst.name.clone(),
-                reason: "variant has no output pin".into(),
-            })?;
-            let out_conn = inst
-                .connections
+        let mut arc_count = 0usize;
+        for (idx, cell) in binding.cells().iter().enumerate() {
+            let missing = |reason: &str| StaError::MissingTiming {
+                instance: netlist.instances()[idx].name.clone(),
+                reason: reason.into(),
+            };
+            let (out, inputs) = variants.get(cell, &pin_names)?;
+            let out = out.ok_or_else(|| missing("variant has no output pin"))?;
+            let out_conn = conn_pins[idx]
                 .iter()
-                .position(|(pin, _)| *pin == out.name)
-                .ok_or_else(|| StaError::MissingTiming {
-                    instance: inst.name.clone(),
-                    reason: "output pin unconnected".into(),
-                })?;
+                .position(|&p| p == out)
+                .ok_or_else(|| missing("output pin unconnected"))?;
             let out_id = conn_ids[idx][out_conn];
             out_net.push(out_id);
-            out_pin.push(conn_pins[idx][out_conn]);
-            driver_of[out_id as usize] = u32::try_from(idx).expect("instance count fits u32");
-            for pin in &cell.pins {
-                if pin.capacitance_pf <= 0.0 {
-                    continue;
-                }
-                let conn = inst
-                    .connections
-                    .iter()
-                    .position(|(name, _)| *name == pin.name)
-                    .ok_or_else(|| StaError::MissingTiming {
-                        instance: inst.name.clone(),
-                        reason: format!("input pin `{}` unconnected", pin.name),
-                    })?;
-                users_of[conn_ids[idx][conn] as usize]
-                    .push(u32::try_from(idx).expect("instance count fits u32"));
+            out_pin.push(out);
+            let inst_id = u32::try_from(idx).expect("instance count fits u32");
+            driver_of[out_id as usize] = inst_id;
+            for &input in inputs {
+                let conn = input_conn(netlist, &conn_pins[idx], idx, cell, input)?;
+                users_of[conn_ids[idx][conn] as usize].push(inst_id);
+                arc_count += 1;
             }
         }
 
@@ -232,6 +251,7 @@ impl Topology {
             users_of,
             po_ids,
             po_count,
+            arc_count,
         })
     }
 
@@ -240,105 +260,20 @@ impl Topology {
         &self.pin_names[self.conn_pins[inst as usize][conn as usize] as usize]
     }
 
-    /// Checks that `netlist`/`binding` still have the connectivity this
-    /// topology was interned from: the netlist carries the recorded
-    /// stamp (O(1)), the binding covers it, and each bound variant's
-    /// output pin is still the recorded one (one pin-name comparison per
-    /// instance against the interned name).
-    pub(crate) fn verify(
-        &self,
-        netlist: &MappedNetlist,
-        binding: &CellBinding,
-    ) -> Result<(), StaError> {
-        self.check_stamp(netlist)?;
-        if binding.cells().len() != self.out_pin.len() {
-            return Err(StaError::InvalidBinding {
-                reason: "binding does not cover the netlist".into(),
-            });
-        }
-        for idx in 0..self.out_pin.len() {
-            self.check_output_pin(netlist, binding, idx)?;
-        }
-        Ok(())
-    }
-
-    fn check_stamp(&self, netlist: &MappedNetlist) -> Result<(), StaError> {
+    /// Checks that `netlist` is the one this topology was interned from
+    /// or a copy of it (cell swaps allowed): an O(1) stamp comparison.
+    pub(crate) fn check_stamp(&self, netlist: &MappedNetlist) -> Result<(), StaError> {
         if netlist.stamp() == self.stamp {
             Ok(())
         } else {
             Err(stale("the netlist is not the one it was analyzed from"))
         }
     }
-
-    /// Instance `idx`'s bound variant still drives the recorded output
-    /// pin.
-    fn check_output_pin(
-        &self,
-        netlist: &MappedNetlist,
-        binding: &CellBinding,
-        idx: usize,
-    ) -> Result<(), StaError> {
-        let inst = &netlist.instances()[idx];
-        let out = output_pin(binding.cell(idx)).ok_or_else(|| StaError::MissingTiming {
-            instance: inst.name.clone(),
-            reason: "variant has no output pin".into(),
-        })?;
-        if out.name == self.pin_names[self.out_pin[idx] as usize] {
-            Ok(())
-        } else {
-            Err(stale(&format!("output pin of `{}` moved", inst.name)))
-        }
-    }
-
-    /// Checks, before anything is written, that instance `idx`'s bound
-    /// variant can be re-timed against `slot`, its stored arcs: it drives
-    /// the recorded output pin, every input pin is connected and has an
-    /// arc, and its input pins sample the same nets as the stored arcs
-    /// (so the instance⇄net relations and the arc layout still hold).
-    fn check_rebound(
-        &self,
-        netlist: &MappedNetlist,
-        binding: &CellBinding,
-        idx: usize,
-        slot: &[(u32, f64)],
-    ) -> Result<(), StaError> {
-        self.check_output_pin(netlist, binding, idx)?;
-        let inst = &netlist.instances()[idx];
-        let cell = binding.cell(idx);
-        let inputs = || cell.pins.iter().filter(|p| p.capacitance_pf > 0.0);
-        for pin in inputs() {
-            if !inst.connections.iter().any(|(p, _)| *p == pin.name) {
-                return Err(StaError::MissingTiming {
-                    instance: inst.name.clone(),
-                    reason: format!("input pin `{}` unconnected", pin.name),
-                });
-            }
-            if cell.arc_from(&pin.name).is_none() {
-                return Err(StaError::MissingTiming {
-                    instance: inst.name.clone(),
-                    reason: format!("no arc from pin `{}`", pin.name),
-                });
-            }
-        }
-        let nets = || {
-            inputs().filter_map(|pin| {
-                let conn = inst.connections.iter().position(|(p, _)| *p == pin.name)?;
-                Some(self.conn_ids[idx][conn])
-            })
-        };
-        let same_nets = nets().count() == slot.len()
-            && nets().all(|x| {
-                nets().filter(|&y| y == x).count() == slot.iter().filter(|&&(y, _)| y == x).count()
-            });
-        if same_nets {
-            Ok(())
-        } else {
-            Err(stale(&format!("input pins of `{}` changed", inst.name)))
-        }
-    }
 }
 
-fn stale(reason: &str) -> StaError {
+/// The typed error of a state or topology that no longer fits the
+/// netlist or binding it is used with.
+pub(crate) fn stale(reason: &str) -> StaError {
     StaError::InvalidBinding {
         reason: format!("incremental state is stale: {reason}"),
     }
@@ -349,9 +284,10 @@ fn stale(reason: &str) -> StaError {
 /// Building the topology (string interning, driver/user relations) is
 /// the only string-heavy step of an analysis. Callers that analyze the
 /// same design repeatedly — the sign-off flow runs six corners per
-/// `run()`, ECO sessions re-sign-off after edits — build it once and
-/// pass it to [`analyze_full_in`](crate::analyze_full_in), which only
-/// [`verify`](SharedTopology::verify)s it. Cloning is an [`Arc`] bump.
+/// `run()` — build it once and pass it to
+/// [`analyze_full_in`](crate::analyze_full_in), which checks it as part
+/// of resolving the arcs instead of rebuilding it. Cloning is an [`Arc`]
+/// bump.
 #[derive(Debug, Clone)]
 pub struct SharedTopology(pub(crate) Arc<Topology>);
 
@@ -361,7 +297,9 @@ impl SharedTopology {
     /// # Errors
     ///
     /// [`StaError::MissingTiming`] when a bound variant has no output
-    /// pin or an input/output pin is unconnected.
+    /// pin or an input/output pin is unconnected;
+    /// [`StaError::InvalidBinding`] when the binding does not cover the
+    /// netlist or a variant does not fit the arc slot packing.
     pub fn build(
         netlist: &MappedNetlist,
         binding: &CellBinding,
@@ -369,26 +307,22 @@ impl SharedTopology {
         Ok(SharedTopology(Arc::new(Topology::build(netlist, binding)?)))
     }
 
-    /// Checks that `netlist`/`binding` still match this topology: an
-    /// O(1) [`MappedNetlist::stamp`] comparison, then each bound
-    /// variant's output pin against the recorded one. No allocation.
-    ///
-    /// # Errors
-    ///
-    /// [`StaError::InvalidBinding`] when the netlist is another one (a
-    /// different stamp), the binding does not cover it, or an output pin
-    /// moved; [`StaError::MissingTiming`] when a variant has no output
-    /// pin.
-    pub fn verify(&self, netlist: &MappedNetlist, binding: &CellBinding) -> Result<(), StaError> {
-        self.0.verify(netlist, binding)
+    /// Whether this topology was interned from `netlist` or a copy of it
+    /// (cell swaps allowed): an O(1) [`MappedNetlist::stamp`]
+    /// comparison. Pin roles are checked by the analysis itself, which
+    /// answers a binding whose output pin moved with
+    /// [`StaError::InvalidBinding`].
+    #[must_use]
+    pub fn is_for(&self, netlist: &MappedNetlist) -> bool {
+        self.0.check_stamp(netlist).is_ok()
     }
 }
 
 /// A completed analysis plus the internal products needed to re-time it
 /// in place: the interned net topology, the options and wire caps it
-/// ran with, the canonical per-net load vector, the per-instance arc
-/// delays of the backward pass (flat CSR layout), and the topological
-/// completion order.
+/// ran with, the canonical per-net load vector, every instance's
+/// resolved arc slots with their delays (flat CSR layout), and the
+/// topological completion order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StaState {
     pub(crate) report: TimingReport,
@@ -403,12 +337,9 @@ pub struct StaState {
     /// name). No driver can depend on them; kept only so state equality
     /// sees the full load picture.
     pub(crate) extra_loads: Vec<(String, f64)>,
-    /// CSR offsets into [`Self::arc_data`]: instance `i`'s evaluated
-    /// arcs live at `arc_data[arc_offsets[i]..arc_offsets[i + 1]]`.
-    /// Length `instances + 1`.
-    pub(crate) arc_offsets: Vec<u32>,
-    /// `(input net id, arc delay)` of every evaluated arc, flat.
-    pub(crate) arc_data: Vec<(u32, f64)>,
+    /// Every instance's resolved arcs (input net, connection, pin and
+    /// arc index, delay), CSR by instance.
+    pub(crate) arcs: ArcStore,
     pub(crate) completion_order: Vec<usize>,
     pub(crate) topo: Arc<Topology>,
 }
@@ -440,6 +371,20 @@ impl StaState {
         self.report
     }
 
+    /// The load (pF) the analysis summed on `net`: its sink pins, the
+    /// per-fanout wire lumps, primary-output loads and explicit wire cap.
+    /// `None` for a net the analysis never saw.
+    #[must_use]
+    pub fn load_of(&self, net: &str) -> Option<f64> {
+        if let Some(&id) = self.topo.net_ids.get(net) {
+            return Some(self.loads[id as usize]);
+        }
+        self.extra_loads
+            .iter()
+            .find(|(name, _)| name == net)
+            .map(|&(_, load)| load)
+    }
+
     /// Instance indices in the order the levelized forward pass resolved
     /// them — a topological order of the instance graph, valid for any
     /// edit that keeps connectivity (cell swaps, moves, resizes).
@@ -455,25 +400,29 @@ impl StaState {
     /// binding bit for bit.
     ///
     /// `changed_instances` must list every instance whose bound variant
-    /// changed (duplicates are fine; an unlisted one is not re-timed, and
-    /// nothing below holds for it); instances whose *load* changed —
+    /// changed (duplicates are fine; an unlisted one keeps the arcs
+    /// resolved for its previous variant, and nothing below holds for
+    /// it); instances whose *load* changed —
     /// e.g. the driver of a net whose sink pin capacitances moved with a
     /// cell swap — are found by bit-diffing the loads of the nets the
     /// re-bound instances sample. `netlist` must be the analyzed netlist
     /// or a copy of it (cell swaps allowed), which its
     /// [`MappedNetlist::stamp`] proves in O(1).
     ///
-    /// Every check runs before the first write, so an `Err` leaves the
+    /// The re-bound instances' arcs are re-resolved while checking, and
+    /// every check runs before the first write, so an `Err` leaves the
     /// state exactly as it was; `scratch` holds the temporaries.
     ///
     /// # Errors
     ///
     /// * [`StaError::InvalidBinding`] when the binding does not cover the
     ///   netlist, the netlist is not the analyzed one, a changed index is
-    ///   out of range, or a re-bound variant changed pin roles (its
-    ///   output pin or the nets its input pins sample),
+    ///   out of range, a re-bound variant changed pin roles (its output
+    ///   pin or the nets its input pins sample) or does not fit the arc
+    ///   slot packing,
     /// * [`StaError::MissingTiming`] when a re-bound variant has no
-    ///   output pin, or an input pin that is unconnected or lacks an arc.
+    ///   output pin or no input pin, or an input pin that is unconnected
+    ///   or lacks an arc.
     #[allow(clippy::too_many_lines)]
     pub fn update(
         &mut self,
@@ -494,8 +443,12 @@ impl StaState {
         // `dirty` starts as the seed set; the forward pass extends it to
         // exactly the instances it re-evaluates.
         let dirty: &mut [bool] = scratch.alloc_slice_fill(n, false);
-        let mut seed_instances = 0usize;
-        let mut touched: Vec<u32> = Vec::new();
+        // Check phase: re-resolve each re-bound instance's arcs, which
+        // must sample the nets of its stored slot (so the instance⇄net
+        // relations and the CSR layout still hold).
+        let mut variants = Variants::new(scratch);
+        let mut seeds: Vec<usize> = Vec::new();
+        let mut resolved: Vec<ArcSlot> = Vec::new();
         for &idx in changed_instances {
             if idx >= n {
                 return Err(StaError::InvalidBinding {
@@ -505,15 +458,33 @@ impl StaState {
             if dirty[idx] {
                 continue;
             }
-            let slot = &self.arc_data[self.arc_range(idx)];
-            topo.check_rebound(netlist, binding, idx, slot)?;
+            let start = resolved.len();
+            let cell = &binding.cells()[idx];
+            let (out, inputs) = variants.get(cell, &topo.pin_names)?;
+            resolve_instance(netlist, &topo, idx, cell, out, inputs, &mut resolved)?;
+            if !same_nets(&resolved[start..], self.arcs.of(idx)) {
+                return Err(stale(&format!(
+                    "input pins of `{}` changed",
+                    netlist.instances()[idx].name
+                )));
+            }
             dirty[idx] = true;
-            seed_instances += 1;
-            touched.extend(slot.iter().map(|&(net, _)| net));
+            seeds.push(idx);
         }
 
-        // Checks done; from here on nothing fails. A net whose load bits
-        // moved re-times its driver (delay and slew read the output load).
+        // Checks done; from here on nothing fails. Store the re-resolved
+        // arcs; a net they sample whose load bits moved re-times its
+        // driver (delay and slew read the output load).
+        let mut seed_instances = seeds.len();
+        let mut touched: Vec<u32> = Vec::with_capacity(resolved.len());
+        let mut rest = resolved.as_slice();
+        for &idx in &seeds {
+            let slot = self.arcs.of_mut(idx);
+            let (mine, tail) = rest.split_at(slot.len());
+            slot.copy_from_slice(mine);
+            rest = tail;
+            touched.extend(mine.iter().map(|a| a.net));
+        }
         touched.sort_unstable();
         touched.dedup();
         let before: Vec<f64> = touched
@@ -521,10 +492,10 @@ impl StaState {
             .map(|&net| self.loads[net as usize])
             .collect();
         sum_loads(
-            netlist,
             binding,
             &self.options,
             &topo,
+            &self.arcs,
             &self.wire_caps,
             Some(&touched),
             &mut self.loads,
@@ -544,30 +515,23 @@ impl StaState {
         // is re-evaluated when flagged, and flags its users only when its
         // output arrival or slew changed bits: everything else reads
         // bit-identical inputs, so its stored timing is the answer.
-        let mut eval = EvalScratch::default();
         let mut forward_instances = 0usize;
         for &idx in &self.completion_order {
             if !dirty[idx] {
                 continue;
             }
             forward_instances += 1;
-            // Cannot fail: the seeds passed `check_rebound`, and every
-            // other instance keeps the variant it was evaluated with.
-            let out = evaluate_instance(
-                netlist,
-                binding,
-                idx,
-                &topo,
-                &self.loads,
-                &self.report.arrival,
-                &self.report.slew,
-                self.options.mode,
-                &mut eval,
-            )?;
-            let range = self.arc_range(idx);
-            self.arc_data[range].copy_from_slice(&eval.arcs);
             let out_id = topo.out_net[idx] as usize;
             let report = &mut self.report;
+            let out = evaluate_instance(
+                binding.cell(idx),
+                idx,
+                self.arcs.of_mut(idx),
+                self.loads[out_id],
+                &report.arrival,
+                &report.slew,
+                self.options.mode,
+            );
             let moved = out.arrival_ns.to_bits() != report.arrival[out_id].to_bits()
                 || out.slew_ns.to_bits() != report.slew[out_id].to_bits();
             report.arrival[out_id] = out.arrival_ns;
@@ -590,8 +554,8 @@ impl StaState {
             let in_cone: &mut [bool] = scratch.alloc_slice_fill(topo.net_names.len(), false);
             for &idx in self.completion_order.iter().rev() {
                 if dirty[idx] || in_cone[topo.out_net[idx] as usize] {
-                    for &(in_id, _) in &self.arc_data[self.arc_range(idx)] {
-                        in_cone[in_id as usize] = true;
+                    for arc in self.arcs.of(idx) {
+                        in_cone[arc.net as usize] = true;
                     }
                 }
             }
@@ -616,13 +580,12 @@ impl StaState {
                     continue; // net drives nothing timed
                 }
                 let r_out = report.required[out_id];
-                let arcs = self.arc_offsets[idx] as usize..self.arc_offsets[idx + 1] as usize;
-                for &(in_id, delay) in &self.arc_data[arcs] {
-                    let i = in_id as usize;
+                for arc in self.arcs.of(idx) {
+                    let i = arc.net as usize;
                     if !in_cone[i] {
                         continue;
                     }
-                    let candidate = r_out - delay;
+                    let candidate = r_out - arc.delay;
                     if report.has_required[i] {
                         report.required[i] = report.required[i].min(candidate);
                     } else {
@@ -642,11 +605,12 @@ impl StaState {
             backward_nets,
         })
     }
+}
 
-    /// Instance `idx`'s slot in [`Self::arc_data`].
-    fn arc_range(&self, idx: usize) -> std::ops::Range<usize> {
-        self.arc_offsets[idx] as usize..self.arc_offsets[idx + 1] as usize
-    }
+/// Whether two arc slots sample the same nets, with multiplicity.
+fn same_nets(a: &[ArcSlot], b: &[ArcSlot]) -> bool {
+    let count = |arcs: &[ArcSlot], net: u32| arcs.iter().filter(|x| x.net == net).count();
+    a.len() == b.len() && a.iter().all(|x| count(a, x.net) == count(b, x.net))
 }
 
 #[cfg(test)]
@@ -706,11 +670,11 @@ mod tests {
             );
         }
         assert_eq!(a.extra_loads, b.extra_loads);
-        assert_eq!(a.arc_offsets, b.arc_offsets);
-        assert_eq!(a.arc_data.len(), b.arc_data.len());
-        for ((nx, dx), (ny, dy)) in a.arc_data.iter().zip(&b.arc_data) {
-            assert_eq!(nx, ny);
-            assert_eq!(dx.to_bits(), dy.to_bits());
+        assert_eq!(a.arcs.offsets, b.arcs.offsets);
+        assert_eq!(a.arcs.data.len(), b.arcs.data.len());
+        for (x, y) in a.arcs.data.iter().zip(&b.arcs.data) {
+            assert_eq!((x.net, x.conn, x.pin, x.arc), (y.net, y.conn, y.pin, y.arc));
+            assert_eq!(x.delay.to_bits(), y.delay.to_bits());
         }
         assert_eq!(a, b, "whole state");
     }
@@ -881,9 +845,9 @@ mod tests {
         };
         assert_eq!(twin, m);
         assert!(stale(state.update(&twin, &binding, &[], &scratch)));
-        assert!(SharedTopology(Arc::clone(&base.topo))
-            .verify(&twin, &binding)
-            .is_err());
+        let topo = SharedTopology(Arc::clone(&base.topo));
+        assert!(!topo.is_for(&twin));
+        assert!(topo.is_for(&m.clone()));
         // A clone of the analyzed netlist can.
         state.update(&m.clone(), &binding, &[], &scratch).unwrap();
         // Out-of-range seed, and a binding that does not cover the netlist.

@@ -136,6 +136,16 @@ impl TimingReport {
         self.net_id(net).map(|id| self.slew[id])
     }
 
+    /// The arc that set a net's arrival: the driving instance's index and
+    /// the index of the `connections` entry (its input pin) the winning
+    /// path came through. `None` for primary inputs, undriven nets and
+    /// unknown names.
+    #[must_use]
+    pub fn driving_arc_of(&self, net: &str) -> Option<(usize, usize)> {
+        let from = self.from[self.net_id(net)?];
+        (!from.is_none()).then_some((from.inst as usize, from.conn as usize))
+    }
+
     /// Arrival per primary output, in output order.
     #[must_use]
     pub fn po_arrivals(&self) -> Vec<(String, f64)> {

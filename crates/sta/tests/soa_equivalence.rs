@@ -1,5 +1,6 @@
 //! Property tests pinning the arena/SoA timing state to the allocating
-//! reference paths, bit for bit.
+//! reference paths and to an independent name-matching timer, bit for
+//! bit.
 //!
 //! The hot path has two entry points that must agree exactly with a
 //! plain from-scratch [`analyze_full`]:
@@ -8,6 +9,15 @@
 //!   scratch arena,
 //! * [`svt_sta::StaState::update`] — the in-place re-timing of a prior
 //!   state, chained across edits through one reused arena.
+//!
+//! Both read arcs through slots resolved once per instance (input net,
+//! connection, pin and arc index). [`Reference`] is the oracle for that
+//! resolution: a test-only timer that finds every pin by name — the
+//! connection by `position`, the arc by `arc_from` — on every pass, as
+//! the timer did before it resolved slots. Loads, arrivals, slews and
+//! winning arcs must match it bit for bit, for bindings that share one
+//! `Arc` per master, bindings that clone every variant, and variants
+//! whose pins and arcs are permuted relative to the master.
 //!
 //! Every property runs on randomized generator netlists (seeded, so
 //! failures replay) and compares whole [`svt_sta::StaState`]s with `==`,
@@ -19,14 +29,18 @@
 //! runs this suite under `SVT_THREADS` ∈ {1, 2, 8} to pin the claim end
 //! to end.
 
+use std::collections::HashMap;
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use svt_exec::ScratchArena;
 use svt_netlist::{generate_benchmark, technology_map, BenchmarkProfile, MappedNetlist};
 use svt_sta::{
-    analyze_full, analyze_full_in, CellBinding, SharedTopology, StaError, TimingOptions,
+    analyze_full, analyze_full_in, AnalysisMode, CellBinding, SharedTopology, StaError, StaState,
+    TimingOptions,
 };
-use svt_stdcell::Library;
+use svt_stdcell::{CharacterizedCell, Library};
 
 /// A randomized benchmark profile small enough for ~100 ms cases.
 fn profile_strategy() -> impl Strategy<Value = BenchmarkProfile> {
@@ -47,6 +61,216 @@ fn options() -> TimingOptions {
         clock_period_ns: Some(1.0),
         ..TimingOptions::default()
     }
+}
+
+/// The name-matching reference timer: per net, the load, arrival, slew
+/// and winning arc `(instance, connection index)`.
+#[derive(Debug, Default)]
+struct Reference {
+    load: HashMap<String, f64>,
+    arrival: HashMap<String, f64>,
+    slew: HashMap<String, f64>,
+    from: HashMap<String, (usize, usize)>,
+}
+
+impl Reference {
+    /// Times `netlist` under `binding` without resolving anything ahead:
+    /// each pass matches pin names against the instance's connections
+    /// and the variant's arcs. Loads follow the timer's documented
+    /// summation order (sink pins by ascending instance, then pin order;
+    /// then primary-output loads); instances are evaluated whenever their
+    /// inputs have timing, in no particular order, since evaluation is
+    /// pure.
+    fn analyze(netlist: &MappedNetlist, binding: &CellBinding, options: &TimingOptions) -> Self {
+        let net_of = |idx: usize, pin: &str| -> (usize, String) {
+            let inst = &netlist.instances()[idx];
+            let conn = inst
+                .connections
+                .iter()
+                .position(|(p, _)| p == pin)
+                .expect("generated netlists connect every pin");
+            (conn, inst.connections[conn].1.clone())
+        };
+        let inputs = |cell: &CharacterizedCell| {
+            cell.pins
+                .iter()
+                .filter(|p| p.capacitance_pf > 0.0)
+                .map(|p| p.name.clone())
+                .collect::<Vec<_>>()
+        };
+        let mut r = Reference::default();
+        for (idx, _) in netlist.instances().iter().enumerate() {
+            let cell = binding.cell(idx);
+            for pin in inputs(cell) {
+                let cap = cell.pin(&pin).expect("input pin").capacitance_pf;
+                *r.load.entry(net_of(idx, &pin).1).or_insert(0.0) +=
+                    cap + options.wire_cap_per_fanout_pf;
+            }
+        }
+        for po in netlist.outputs() {
+            *r.load.entry(po.clone()).or_insert(0.0) += options.output_load_pf;
+        }
+        for pi in netlist.inputs() {
+            r.arrival.insert(pi.clone(), 0.0);
+            r.slew.insert(pi.clone(), options.primary_input_slew_ns);
+        }
+
+        let pick = |a: f64, b: f64| match options.mode {
+            AnalysisMode::Late => a.max(b),
+            AnalysisMode::Early => a.min(b),
+        };
+        let mut done = vec![false; netlist.instances().len()];
+        loop {
+            let mut progress = false;
+            for (idx, done) in done.iter_mut().enumerate() {
+                let cell = binding.cell(idx);
+                let pins = inputs(cell);
+                if *done
+                    || !pins
+                        .iter()
+                        .all(|p| r.arrival.contains_key(&net_of(idx, p).1))
+                {
+                    continue;
+                }
+                let output = cell
+                    .pins
+                    .iter()
+                    .find(|p| p.capacitance_pf == 0.0)
+                    .expect("output pin");
+                let out_net = net_of(idx, &output.name).1;
+                let load = r.load.get(&out_net).copied().unwrap_or(0.0);
+                let mut best: Option<(f64, (usize, usize))> = None;
+                let mut merged_slew: Option<f64> = None;
+                for pin in &pins {
+                    let (conn, net) = net_of(idx, pin);
+                    let arc = cell.arc_from(pin).expect("every input pin has an arc");
+                    let delay = arc.delay.lookup(r.slew[&net], load);
+                    let out_slew = arc.output_slew.lookup(r.slew[&net], load);
+                    let arc_arrival = r.arrival[&net] + delay;
+                    merged_slew = Some(merged_slew.map_or(out_slew, |s| pick(s, out_slew)));
+                    let replace = best.is_none_or(|(cur, _)| pick(cur, arc_arrival) == arc_arrival);
+                    if replace {
+                        best = Some((arc_arrival, (idx, conn)));
+                    }
+                }
+                let (arrival, from) = best.expect("generated cells have input pins");
+                r.arrival.insert(out_net.clone(), arrival);
+                r.slew
+                    .insert(out_net.clone(), merged_slew.expect("one arc at least"));
+                r.from.insert(out_net, from);
+                *done = true;
+                progress = true;
+            }
+            if !progress {
+                break;
+            }
+        }
+        assert!(done.iter().all(|&d| d), "generated netlists are acyclic");
+        r
+    }
+
+    /// Asserts that `state` times every net of `netlist` exactly as the
+    /// reference does.
+    fn assert_matches(&self, netlist: &MappedNetlist, state: &StaState) {
+        let report = state.report();
+        let nets = netlist.inputs().iter().chain(netlist.outputs()).chain(
+            netlist
+                .instances()
+                .iter()
+                .flat_map(|i| i.connections.iter().map(|c| &c.1)),
+        );
+        for net in nets {
+            let bits = |v: Option<f64>| v.map(f64::to_bits);
+            let or_zero = |m: &HashMap<String, f64>| Some(m.get(net).copied().unwrap_or(0.0));
+            assert_eq!(
+                bits(state.load_of(net)),
+                bits(or_zero(&self.load)),
+                "load of `{net}`"
+            );
+            assert_eq!(
+                bits(report.arrival_of(net)),
+                bits(or_zero(&self.arrival)),
+                "arrival of `{net}`"
+            );
+            assert_eq!(
+                bits(report.slew_of(net)),
+                bits(or_zero(&self.slew)),
+                "slew of `{net}`"
+            );
+            assert_eq!(
+                report.driving_arc_of(net),
+                self.from.get(net).copied(),
+                "winning arc of `{net}`"
+            );
+        }
+    }
+}
+
+/// A small deterministic stream of choices derived from a case seed.
+struct Choices(u64);
+
+impl Choices {
+    fn next(&mut self, below: usize) -> usize {
+        self.0 = self
+            .0
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        ((self.0 >> 33) % below as u64) as usize
+    }
+
+    /// A gate length for a corner-scaled variant, nm.
+    fn length(&mut self) -> f64 {
+        70.0 + 45.0 * self.next(1000) as f64 / 1000.0
+    }
+}
+
+/// `cell` with its pins and its arcs rotated by independent amounts, so
+/// pin order, arc order and connection order all disagree.
+fn permuted(mut cell: CharacterizedCell, pins_by: usize, arcs_by: usize) -> CharacterizedCell {
+    let (np, na) = (cell.pins.len(), cell.arcs.len());
+    cell.pins.rotate_left(pins_by % np);
+    cell.arcs.rotate_right(arcs_by % na);
+    cell
+}
+
+/// A variant of `master` at a drawn gate length, permuted by draws
+/// (one in three keeps the master's order).
+fn variant(lib: &Library, master: &str, choices: &mut Choices) -> CharacterizedCell {
+    let cell = CellBinding::uniform_scaled_cell(lib, master, choices.length()).unwrap();
+    if choices.next(3) == 0 {
+        cell
+    } else {
+        let (p, a) = (choices.next(8), choices.next(8));
+        permuted(cell, p, a)
+    }
+}
+
+/// A binding of drawn, permuted variants: with `shared`, one `Arc` per
+/// master shared by all its instances (as the sign-off flow binds), else
+/// a separately built variant for every instance.
+fn drawn_binding(
+    netlist: &MappedNetlist,
+    lib: &Library,
+    shared: bool,
+    choices: &mut Choices,
+) -> CellBinding {
+    let mut per_master: HashMap<String, Arc<CharacterizedCell>> = HashMap::new();
+    let cells = netlist
+        .instances()
+        .iter()
+        .map(|inst| {
+            if shared {
+                Arc::clone(
+                    per_master
+                        .entry(inst.cell.clone())
+                        .or_insert_with(|| Arc::new(variant(lib, &inst.cell, choices))),
+                )
+            } else {
+                Arc::new(variant(lib, &inst.cell, choices))
+            }
+        })
+        .collect();
+    CellBinding::new_shared(netlist, cells).unwrap()
 }
 
 proptest! {
@@ -146,5 +370,40 @@ proptest! {
             result
         );
         prop_assert_eq!(&state, &before);
+    }
+    /// The full analysis and chained in-place re-binds agree bit for bit
+    /// with the name-matching reference timer, whether the binding shares
+    /// one `Arc` per master or clones every variant, and whatever order
+    /// the variants list their pins and arcs in.
+    #[test]
+    fn resolved_passes_match_the_name_matching_reference(
+        profile in profile_strategy(),
+        seed in 0u64..u64::MAX,
+        shared in 0u8..2,
+        early in 0u8..2,
+        edits in prop::collection::vec(0usize..1_000_000, 1..5),
+    ) {
+        let lib = Library::svt90();
+        let netlist = mapped(&profile, &lib);
+        let opts = TimingOptions {
+            mode: if early == 1 { AnalysisMode::Early } else { AnalysisMode::Late },
+            ..options()
+        };
+        let mut choices = Choices(seed);
+        let mut binding = drawn_binding(&netlist, &lib, shared == 1, &mut choices);
+
+        let mut state = analyze_full(&netlist, &binding, &opts).unwrap();
+        Reference::analyze(&netlist, &binding, &opts).assert_matches(&netlist, &state);
+
+        let mut scratch = ScratchArena::new();
+        for pick in edits {
+            let idx = pick % netlist.instances().len();
+            let cell = variant(&lib, &netlist.instances()[idx].cell, &mut choices);
+            binding.replace(&netlist, idx, cell).unwrap();
+            state.update(&netlist, &binding, &[idx], &scratch).unwrap();
+            scratch.reset();
+            Reference::analyze(&netlist, &binding, &opts).assert_matches(&netlist, &state);
+            prop_assert_eq!(&state, &analyze_full(&netlist, &binding, &opts).unwrap());
+        }
     }
 }
