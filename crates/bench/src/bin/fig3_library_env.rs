@@ -6,13 +6,11 @@
 //! cargo run --release -p svt-bench --bin fig3_library_env
 //! ```
 
-use svt_bench::signoff_simulator;
-use svt_opc::{LibraryOpc, ModelOpc, OpcOptions};
-use svt_stdcell::{Library, Region};
+use svt_bench::figures;
+use svt_stdcell::Library;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     svt_obs::reinit_from_env();
-    let sim = signoff_simulator();
     let library = Library::svt90();
     let cell = library.cell("NAND2X1").expect("NAND2X1 exists");
     let layout = cell.layout();
@@ -31,16 +29,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         layout.boundary_spacings().s_rb,
     );
 
-    let opc = ModelOpc::with_production_model(&sim, OpcOptions::default());
-    let lib_opc = LibraryOpc::new(opc, 150.0, 90.0);
-    for region in [Region::P, Region::N] {
-        let gates: Vec<(f64, f64)> = layout
-            .row_spans(region)
-            .iter()
-            .map(|&(_, (lo, hi))| ((lo + hi) / 2.0, hi - lo))
-            .collect();
+    for (region, corrected) in figures::fig3()?.rows {
         println!("\n{region:?}-row cutline (dummy poly at 150 nm outside the outline):");
-        let corrected = lib_opc.correct_cell(&gates, 0.0, layout.width_nm())?;
         for (g, cd) in corrected.gates.iter().zip(&corrected.printed_cd_nm) {
             println!(
                 "  gate @ x={:>6.1} nm: drawn {:.0} nm -> mask {:>6.2} nm -> prints {:>6.2} nm",

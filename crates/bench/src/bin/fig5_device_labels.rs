@@ -6,27 +6,19 @@
 //! cargo run --release -p svt-bench --bin fig5_device_labels [benchmark]
 //! ```
 
-use svt_bench::build_design;
-use svt_core::{classify_sites, label_arc, ArcLabel, ArcLabelPolicy, DeviceClass};
-use svt_stdcell::Library;
+use svt_bench::figures;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     svt_obs::reinit_from_env();
     let name = std::env::args().nth(1).unwrap_or_else(|| "c432".into());
-    let library = Library::svt90();
-    let design = build_design(&library, &name);
-    let sites = design.placement.device_sites(&design.mapped, &library)?;
-    let classes = classify_sites(&sites, 300.0);
+    let data = figures::fig5(&name)?;
 
-    let count = |c: DeviceClass| classes.iter().filter(|&&x| x == c).count();
-    let total = classes.len();
+    let total: usize = data.devices.iter().sum();
     println!("# Fig. 5 — device classification of placed {name} ({total} devices)");
-    for (label, class) in [
-        ("isolated", DeviceClass::Isolated),
-        ("dense", DeviceClass::Dense),
-        ("self-compensated", DeviceClass::SelfCompensated),
-    ] {
-        let n = count(class);
+    for (label, n) in ["isolated", "dense", "self-compensated"]
+        .iter()
+        .zip(data.devices)
+    {
         println!(
             "{label:<18} {n:>6} ({:.1}%)",
             100.0 * n as f64 / total as f64
@@ -34,41 +26,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Arc labels: per instance, per arc, with the paper's majority policy.
-    let mut per_device: Vec<Vec<DeviceClass>> = design
-        .mapped
-        .instances()
-        .iter()
-        .map(|inst| {
-            let n = library
-                .cell(&inst.cell)
-                .map(|c| c.layout().devices().len())
-                .unwrap_or(0);
-            vec![DeviceClass::Isolated; n]
-        })
-        .collect();
-    for (site, class) in sites.iter().zip(&classes) {
-        per_device[site.instance][site.device.0] = *class;
-    }
-    let mut arc_counts = [0usize; 3];
-    for (idx, inst) in design.mapped.instances().iter().enumerate() {
-        let cell = library.cell(&inst.cell).expect("mapped cells exist");
-        for arc in cell.arcs() {
-            let arc_classes: Vec<DeviceClass> =
-                arc.devices.iter().map(|d| per_device[idx][d.0]).collect();
-            match label_arc(&arc_classes, ArcLabelPolicy::Majority) {
-                ArcLabel::Smile => arc_counts[0] += 1,
-                ArcLabel::Frown => arc_counts[1] += 1,
-                ArcLabel::SelfCompensated => arc_counts[2] += 1,
-            }
-        }
-    }
-    let arcs: usize = arc_counts.iter().sum();
+    let arcs: usize = data.arcs.iter().sum();
     println!("\n# timing-arc labels (majority policy, {arcs} arcs)");
-    for (label, n) in [
-        ("smile (dense)", arc_counts[0]),
-        ("frown (isolated)", arc_counts[1]),
-        ("self-compensated", arc_counts[2]),
-    ] {
+    for (label, n) in ["smile (dense)", "frown (isolated)", "self-compensated"]
+        .iter()
+        .zip(data.arcs)
+    {
         println!(
             "{label:<18} {n:>6} ({:.1}%)",
             100.0 * n as f64 / arcs as f64

@@ -5,7 +5,7 @@
 //! cargo run --release -p svt-bench --bin fig7_opc_error_hist [benchmark]
 //! ```
 
-use svt_bench::{build_design, hbar, signoff_simulator};
+use svt_bench::{build_design, figures, hbar, signoff_simulator};
 use svt_core::FullChipOpc;
 use svt_opc::{error_histogram, OpcOptions};
 use svt_stdcell::Library;
@@ -50,8 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    let mean = errors.iter().sum::<f64>() / errors.len().max(1) as f64;
-    let worst = errors.iter().map(|e| e.abs()).fold(0.0, f64::max);
+    let (mean, worst) = figures::error_summary(&errors);
     println!("\n# mean error {mean:+.2}%, worst |{worst:.2}|% (paper observed up to ~20%)");
     svt_obs::emit_if_enabled();
     Ok(())

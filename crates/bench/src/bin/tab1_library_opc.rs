@@ -6,9 +6,7 @@
 //! cargo run --release -p svt-bench --bin tab1_library_opc [benchmark ...]
 //! ```
 
-use svt_bench::{build_design, signoff_simulator, PAPER_TESTCASES};
-use svt_core::{compare_opc_flows, FullChipOpc, LibraryAssembledOpc};
-use svt_opc::OpcOptions;
+use svt_bench::{figures, PAPER_TESTCASES};
 use svt_stdcell::Library;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -20,10 +18,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         args
     };
 
-    let library = Library::svt90();
-    let sim = signoff_simulator();
-    let assembler = LibraryAssembledOpc::new(&sim, OpcOptions::default());
-
     println!("# Table 1 — library-based vs full-chip OPC");
     println!(
         "{:<10} {:>8} {:>8} {:>8} {:>8} {:>12} {:>12}",
@@ -32,25 +26,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut library_runtime_reported = false;
     for name in &testcases {
-        let design = build_design(&library, name);
-        // The expensive flow: per-instance correction in real context.
-        let full = FullChipOpc::new(&sim, OpcOptions::default()).run(
-            &design.mapped,
-            &design.placement,
-            &library,
-        )?;
-        // The cheap flow: correct each master once, assemble, audit.
-        let (masks, master_time) = assembler.correct_masters(&design.mapped, &library)?;
-        let lib_flow = assembler.run(&design.mapped, &design.placement, &library, &masks)?;
+        // The expensive flow (per-instance correction in real context)
+        // against the cheap one (correct each master once, assemble, audit).
+        let row = figures::tab1(name)?;
         if !library_runtime_reported {
             println!(
                 "# one-time library-OPC master correction: {:.2} s for {} masters",
-                master_time.as_secs_f64(),
-                library.cells().len()
+                row.master_time.as_secs_f64(),
+                Library::svt90().cells().len()
             );
             library_runtime_reported = true;
         }
-        let cmp = compare_opc_flows(&full, &lib_flow)?;
+        let cmp = row.comparison;
         println!(
             "{:<10} {:>8} {:>7.1}% {:>7.1}% {:>7.1}% {:>12.1} {:>12.2}",
             name,
@@ -58,8 +45,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             cmp.pct_within(cmp.within_1pct),
             cmp.pct_within(cmp.within_3pct),
             cmp.pct_within(cmp.within_6pct),
-            full.runtime.as_secs_f64(),
-            lib_flow.runtime.as_secs_f64(),
+            row.full.runtime.as_secs_f64(),
+            row.library.runtime.as_secs_f64(),
         );
     }
     println!(

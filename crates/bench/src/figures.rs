@@ -6,10 +6,16 @@
 //! struct also flattens to an ordered `(key, value)` list via `scalars()`,
 //! which is the unit of comparison for the golden fixtures.
 
-use svt_core::{ArcLabel, SignoffComparison, SignoffFlow, SignoffOptions, VariationBudget};
+use std::time::Duration;
+
+use svt_core::{
+    classify_sites, compare_opc_flows, label_arc, ArcLabel, ArcLabelPolicy, DeviceClass,
+    FlowComparison, FullChipOpc, FullChipResult, LibraryAssembledOpc, SignoffComparison,
+    SignoffFlow, SignoffOptions, VariationBudget,
+};
 use svt_litho::{bossung, pitch_sweep, BossungFamily, FocusExposureMatrix, PitchCdCurve, Process};
-use svt_opc::{ModelOpc, OpcOptions};
-use svt_stdcell::{expand_library, ExpandOptions, Library, PitchCdTable};
+use svt_opc::{CorrectedCutline, LibraryOpc, ModelOpc, OpcOptions};
+use svt_stdcell::{expand_library, ExpandOptions, Library, PitchCdTable, Region};
 
 use crate::{build_design, signoff_simulator, PAPER_TESTCASES};
 
@@ -135,6 +141,145 @@ impl Fig2 {
     }
 }
 
+/// Fig. 3 — library-based OPC of NAND2X1 in its dummy-poly environment.
+#[derive(Debug, Clone)]
+pub struct Fig3 {
+    /// The corrected cutline of each diffusion row, P first.
+    pub rows: Vec<(Region, CorrectedCutline)>,
+}
+
+/// Builds the Fig. 3 dataset: both NAND2X1 row cutlines corrected with the
+/// production model between dummy poly lines 150 nm outside the outline.
+///
+/// # Errors
+///
+/// Propagates OPC and lithography failures.
+pub fn fig3() -> Result<Fig3, Box<dyn std::error::Error>> {
+    let _span = svt_obs::span("bench.fig3");
+    let library = Library::svt90();
+    let layout = library.cell("NAND2X1").ok_or("NAND2X1 missing")?.layout();
+    let opc = ModelOpc::with_production_model(&signoff_simulator(), OpcOptions::default());
+    let lib_opc = LibraryOpc::new(opc, 150.0, 90.0);
+    let rows = [Region::P, Region::N]
+        .into_iter()
+        .map(|region| {
+            let gates: Vec<(f64, f64)> = layout
+                .row_spans(region)
+                .iter()
+                .map(|&(_, (lo, hi))| ((lo + hi) / 2.0, hi - lo))
+                .collect();
+            Ok((
+                region,
+                lib_opc.correct_cell(&gates, 0.0, layout.width_nm())?,
+            ))
+        })
+        .collect::<Result<Vec<_>, svt_opc::OpcError>>()?;
+    Ok(Fig3 { rows })
+}
+
+impl Fig3 {
+    /// Flattens to ordered `(key, value)` pairs for golden snapshots: per
+    /// row, each gate's center, mask width and printed CD, then the sweep
+    /// count and the correction model's residual.
+    #[must_use]
+    pub fn scalars(&self) -> Vec<(String, f64)> {
+        let mut out = Vec::new();
+        for (region, row) in &self.rows {
+            for (i, (g, cd)) in row.gates.iter().zip(&row.printed_cd_nm).enumerate() {
+                out.push((format!("{region:?}.gate[{i}].center"), g.center));
+                out.push((format!("{region:?}.gate[{i}].mask"), g.mask_width));
+                out.push((format!("{region:?}.gate[{i}].printed"), *cd));
+            }
+            out.push((format!("{region:?}.sweeps"), row.report.sweeps as f64));
+            out.push((format!("{region:?}.residual"), row.report.max_error_nm));
+        }
+        out
+    }
+}
+
+/// Fig. 5 — device classes and timing-arc labels of a placed design.
+#[derive(Debug, Clone)]
+pub struct Fig5 {
+    /// Devices per class: isolated, dense, self-compensated.
+    pub devices: [usize; 3],
+    /// Arcs per majority-policy label: smile, frown, self-compensated.
+    pub arcs: [usize; 3],
+}
+
+/// Builds the Fig. 5 dataset: every device of the placed benchmark
+/// classified from its neighbor spacings (300 nm threshold), and every
+/// timing arc labeled from its devices' classes by the majority policy.
+///
+/// # Errors
+///
+/// Propagates placement-query failures.
+pub fn fig5(name: &str) -> Result<Fig5, Box<dyn std::error::Error>> {
+    let _span = svt_obs::span("bench.fig5");
+    let library = Library::svt90();
+    let design = build_design(&library, name);
+    let sites = design.placement.device_sites(&design.mapped, &library)?;
+    let classes = classify_sites(&sites, 300.0);
+    let class_index = |c: DeviceClass| match c {
+        DeviceClass::Isolated => 0,
+        DeviceClass::Dense => 1,
+        DeviceClass::SelfCompensated => 2,
+    };
+    let mut devices = [0usize; 3];
+    for &c in &classes {
+        devices[class_index(c)] += 1;
+    }
+
+    let mut per_device: Vec<Vec<DeviceClass>> = design
+        .mapped
+        .instances()
+        .iter()
+        .map(|inst| {
+            let n = library
+                .cell(&inst.cell)
+                .map(|c| c.layout().devices().len())
+                .unwrap_or(0);
+            vec![DeviceClass::Isolated; n]
+        })
+        .collect();
+    for (site, class) in sites.iter().zip(&classes) {
+        per_device[site.instance][site.device.0] = *class;
+    }
+    let mut arcs = [0usize; 3];
+    for (idx, inst) in design.mapped.instances().iter().enumerate() {
+        let cell = library.cell(&inst.cell).ok_or("mapped cell missing")?;
+        for arc in cell.arcs() {
+            let arc_classes: Vec<DeviceClass> =
+                arc.devices.iter().map(|d| per_device[idx][d.0]).collect();
+            let slot = match label_arc(&arc_classes, ArcLabelPolicy::Majority) {
+                ArcLabel::Smile => 0,
+                ArcLabel::Frown => 1,
+                ArcLabel::SelfCompensated => 2,
+            };
+            arcs[slot] += 1;
+        }
+    }
+    Ok(Fig5 { devices, arcs })
+}
+
+impl Fig5 {
+    /// Flattens to ordered `(key, value)` pairs for golden snapshots: the
+    /// three device-class counts, then the three arc-label counts.
+    #[must_use]
+    pub fn scalars(&self) -> Vec<(String, f64)> {
+        let mut out = Vec::new();
+        for (label, n) in ["isolated", "dense", "self_compensated"]
+            .iter()
+            .zip(self.devices)
+        {
+            out.push((format!("devices.{label}"), n as f64));
+        }
+        for (label, n) in ["smile", "frown", "self_compensated"].iter().zip(self.arcs) {
+            out.push((format!("arcs.{label}"), n as f64));
+        }
+        out
+    }
+}
+
 /// Fig. 6 — measured systematic components and the corner-span
 /// decomposition they imply.
 #[derive(Debug, Clone)]
@@ -239,6 +384,82 @@ impl Fig6 {
             out.push((format!("{name}.span"), span));
         }
         out
+    }
+}
+
+/// Table 1 — library-based vs full-chip OPC on one placed design.
+#[derive(Debug, Clone)]
+pub struct Tab1 {
+    /// Benchmark name.
+    pub testcase: String,
+    /// Full-chip OPC: every row cutline corrected in context, then audited
+    /// with the sign-off simulator.
+    pub full: FullChipResult,
+    /// Library OPC: corrected masters assembled into the chip mask and
+    /// audited the same way.
+    pub library: FullChipResult,
+    /// Device-by-device agreement of the two flows.
+    pub comparison: FlowComparison,
+    /// Time spent correcting the masters the design uses.
+    pub master_time: Duration,
+}
+
+/// Builds one Table 1 row: full-chip OPC and library OPC of the placed
+/// benchmark, and their device-by-device comparison.
+///
+/// # Errors
+///
+/// Propagates OPC, lithography and placement-query failures.
+pub fn tab1(name: &str) -> Result<Tab1, Box<dyn std::error::Error>> {
+    let _span = svt_obs::span("bench.tab1");
+    let library = Library::svt90();
+    let sim = signoff_simulator();
+    let design = build_design(&library, name);
+    let full = FullChipOpc::new(&sim, OpcOptions::default()).run(
+        &design.mapped,
+        &design.placement,
+        &library,
+    )?;
+    let assembler = LibraryAssembledOpc::new(&sim, OpcOptions::default());
+    let (masks, master_time) = assembler.correct_masters(&design.mapped, &library)?;
+    let lib_flow = assembler.run(&design.mapped, &design.placement, &library, &masks)?;
+    let comparison = compare_opc_flows(&full, &lib_flow)?;
+    Ok(Tab1 {
+        testcase: name.to_string(),
+        full,
+        library: lib_flow,
+        comparison,
+        master_time,
+    })
+}
+
+/// Fig. 7's summary of a percent-error population: the mean and the
+/// largest magnitude (both 0 for an empty population).
+#[must_use]
+pub fn error_summary(errors: &[f64]) -> (f64, f64) {
+    let mean = errors.iter().sum::<f64>() / errors.len().max(1) as f64;
+    let worst = errors.iter().map(|e| e.abs()).fold(0.0, f64::max);
+    (mean, worst)
+}
+
+impl Tab1 {
+    /// Flattens to ordered `(key, value)` pairs for golden snapshots: the
+    /// device count, the N-1/N-3/N-6 counts, and the full-chip run's Fig. 7
+    /// mean and worst % error against the 90 nm target. Runtimes are left
+    /// out.
+    #[must_use]
+    pub fn scalars(&self) -> Vec<(String, f64)> {
+        let c = &self.comparison;
+        let (mean, worst) = error_summary(&self.full.percent_errors(90.0));
+        let case = &self.testcase;
+        vec![
+            (format!("{case}.devices"), c.total as f64),
+            (format!("{case}.n1"), c.within_1pct as f64),
+            (format!("{case}.n3"), c.within_3pct as f64),
+            (format!("{case}.n6"), c.within_6pct as f64),
+            (format!("{case}.fig7.mean_pct"), mean),
+            (format!("{case}.fig7.worst_pct"), worst),
+        ]
     }
 }
 

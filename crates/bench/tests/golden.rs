@@ -104,6 +104,29 @@ fn fig2_matches_golden() {
     check_golden("fig2.json", &data.scalars());
 }
 
+/// Fig. 3 pins library OPC of both NAND2X1 rows: the corrected mask
+/// widths, what they print, and how the correction converged.
+#[test]
+fn fig3_matches_golden() {
+    let data = figures::fig3().expect("fig3 builds");
+    assert_eq!(data.rows.len(), 2);
+    check_golden("fig3.json", &data.scalars());
+}
+
+#[test]
+fn fig5_matches_golden() {
+    let data = figures::fig5("c432").expect("fig5 builds");
+    check_golden("fig5.json", &data.scalars());
+}
+
+/// Table 1 on c432, one full-chip run: the device count, the N-1/N-3/N-6
+/// counts, and the same run's Fig. 7 mean and worst % error.
+#[test]
+fn tab1_matches_golden() {
+    let data = figures::tab1("c432").expect("tab1 builds");
+    check_golden("tab1.json", &data.scalars());
+}
+
 #[test]
 fn fig6_matches_golden() {
     let data = figures::fig6().expect("fig6 builds");

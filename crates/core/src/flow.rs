@@ -1333,42 +1333,60 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_moved_output_pin_rebuilds_the_cached_topology() {
+    /// Times `text`'s netlist through the flow, then the same netlist (one
+    /// stamp) with the variant of the instance driving `z` changed by
+    /// `caps` (`(net, capacitance)` of the pin on each net), which the
+    /// cached topology no longer fits: a direct analysis against that
+    /// topology answers the typed error, while the flow rebuilds it and
+    /// times either binding as a fresh analysis does.
+    fn assert_stale_topology_is_rebuilt(text: &str, caps: &[(&str, f64)]) {
         let (lib, expanded, _, _) = setup();
         let flow = SignoffFlow::new(&lib, &expanded, SignoffOptions::default());
         let timing = flow.options().timing;
-        let n = bench::parse("# t\nINPUT(a)\nINPUT(b)\nOUTPUT(z)\nz = NAND(a, b)\n").unwrap();
-        let m = technology_map(&n, &lib).unwrap();
+        let m = technology_map(&bench::parse(text).unwrap(), &lib).unwrap();
         let binding = CellBinding::nominal(&m, &lib).unwrap();
-        // The same netlist (one stamp) with the NAND's variant declaring
-        // B its output pin; Z becomes a pin the timer ignores.
-        let mut moved = binding.clone();
-        let mut cell = binding.cell(0).clone();
-        for pin in &mut cell.pins {
-            match pin.name.as_str() {
-                "B" => pin.capacitance_pf = 0.0,
-                "Z" => pin.capacitance_pf = -1.0,
-                _ => {}
+        let gate = m
+            .instances()
+            .iter()
+            .position(|inst| inst.connections.iter().any(|(_, net)| net == "z"))
+            .unwrap();
+        let mut cell = binding.cell(gate).clone();
+        for (pin, net) in &m.instances()[gate].connections {
+            if let Some(&(_, cap)) = caps.iter().find(|(n, _)| n == net) {
+                let pin = cell.pins.iter_mut().find(|p| &p.name == pin).unwrap();
+                pin.capacitance_pf = cap;
             }
         }
-        moved.replace(&m, 0, cell).unwrap();
+        let mut stale = binding.clone();
+        stale.replace(&m, gate, cell).unwrap();
 
         let fresh = |b: &CellBinding| analyze_full(&m, b, &timing).unwrap();
         assert_eq!(flow.analyze_corner(&m, &binding).unwrap(), fresh(&binding));
-        // The cached topology still matches the netlist's stamp, and a
-        // direct analysis against it answers with the typed error...
-        let (cached, built) = flow.topo_for(&m, &moved, false).unwrap();
+        let (cached, built) = flow.topo_for(&m, &stale, false).unwrap();
         assert!(!built);
-        let direct = analyze_full_in(&m, &moved, &timing, &cached, &ScratchArena::new());
+        let direct = analyze_full_in(&m, &stale, &timing, &cached, &ScratchArena::new());
         assert!(
             matches!(direct, Err(StaError::InvalidBinding { .. })),
             "{direct:?}"
         );
-        // ...while the flow rebuilds it and times the moved binding as a
-        // fresh analysis does, and the original one again after that.
-        assert_eq!(flow.analyze_corner(&m, &moved).unwrap(), fresh(&moved));
+        assert_eq!(flow.analyze_corner(&m, &stale).unwrap(), fresh(&stale));
         assert_eq!(flow.analyze_corner(&m, &binding).unwrap(), fresh(&binding));
+    }
+
+    #[test]
+    fn a_moved_output_pin_rebuilds_the_cached_topology() {
+        // The NAND's variant declares its pin on b the output; the pin on
+        // z becomes one the timer ignores.
+        let text = "# t\nINPUT(a)\nINPUT(b)\nOUTPUT(z)\nz = NAND(a, b)\n";
+        assert_stale_topology_is_rebuilt(text, &[("b", 0.0), ("z", -1.0)]);
+    }
+
+    #[test]
+    fn a_dropped_input_pin_rebuilds_the_cached_topology() {
+        // The NAND's variant drops its pin on x (a negative capacitance
+        // makes it no input): the cached topology records one more input.
+        let text = "# t\nINPUT(a)\nOUTPUT(z)\nx = NOT(a)\nz = NAND(a, x)\n";
+        assert_stale_topology_is_rebuilt(text, &[("x", -1.0)]);
     }
 
     #[test]

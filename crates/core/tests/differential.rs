@@ -24,10 +24,14 @@
 //! All environment mutation lives in this single `#[test]` because sibling
 //! tests in one binary share the process environment.
 
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
+
 use svt_core::{SignoffComparison, SignoffFlow, SignoffOptions};
 use svt_netlist::{generate_benchmark, technology_map, BenchmarkProfile};
 use svt_obs::audit::AuditTrail;
-use svt_obs::chrome::validate_chrome_trace;
+use svt_obs::chrome::{validate_chrome_trace, ChromeTraceStats};
 use svt_place::{place, PlacementOptions};
 use svt_stdcell::{
     clear_expand_caches, expand_cache_stats, expand_library, ExpandOptions, Library,
@@ -48,6 +52,25 @@ struct Fingerprint {
     row_entries: usize,
     audit_text: String,
     audit_json: String,
+}
+
+/// Writes the chrome trace recorded so far and schema-validates it.
+fn emit_and_validate(trace_path: &str) -> ChromeTraceStats {
+    svt_obs::emit_if_enabled().expect("chrome emission");
+    let trace = std::fs::read_to_string(trace_path).expect("trace artifact");
+    validate_chrome_trace(&trace)
+        .unwrap_or_else(|e| panic!("differential trace failed validation: {e}"))
+}
+
+/// The tids carrying at least one event named `name` at or after trace
+/// time `since_us`.
+fn tids_with(stats: &ChromeTraceStats, name: &str, since_us: f64) -> BTreeSet<u64> {
+    stats
+        .events
+        .iter()
+        .filter(|e| e.name == name && e.ph != "M" && e.ts_us.is_some_and(|t| t >= since_us))
+        .map(|e| e.tid)
+        .collect()
 }
 
 fn run_flow_cold() -> (Fingerprint, SignoffComparison, AuditTrail) {
@@ -173,11 +196,15 @@ fn thread_count_and_trace_mode_never_change_results() {
 
     let mut baseline: Option<(String, Fingerprint)> = None;
     let mut last: Option<(SignoffComparison, AuditTrail)> = None;
+    // Trace time (µs) at which the latest configuration started: the trace
+    // keeps the earlier chrome iterations' events too.
+    let mut last_start_us = 0.0;
     for threads in ["1", "2", "8"] {
         for trace in ["off", "summary", chrome.as_str()] {
             std::env::set_var("SVT_THREADS", threads);
             std::env::set_var("SVT_TRACE", trace);
             svt_obs::reinit_from_env();
+            last_start_us = svt_obs::timeline::now_ns() as f64 / 1e3;
 
             let label = format!("SVT_THREADS={threads} SVT_TRACE={trace}");
             let (fp, cmp, trail) = run_flow_cold();
@@ -222,20 +249,42 @@ fn thread_count_and_trace_mode_never_change_results() {
     }
 
     // The final iteration ran in chrome mode with 8 workers: emit the
-    // trace, schema-validate it, and check every pool worker shows up.
+    // flow's trace, schema-validate it, and check that this iteration's own
+    // pool batches ran on more than one worker thread (the caller's tid,
+    // which carries the sign-off span, runs single-item batches inline).
     assert_eq!(svt_obs::mode(), svt_obs::TraceMode::Chrome);
-    svt_obs::emit_if_enabled().expect("chrome emission");
-    let trace = std::fs::read_to_string(&trace_path).expect("trace artifact");
-    let stats = validate_chrome_trace(&trace)
-        .unwrap_or_else(|e| panic!("differential trace failed validation: {e}"));
+    let flow = emit_and_validate(&trace_path);
+    let caller = tids_with(&flow, "core.signoff", last_start_us);
+    assert!(!caller.is_empty(), "sign-off span missing from the trace");
+    let flow_workers: Vec<u64> = tids_with(&flow, "exec.pool.task", last_start_us)
+        .difference(&caller)
+        .copied()
+        .collect();
+    assert!(
+        flow_workers.len() >= 2,
+        "expected the 8-worker flow's pool tasks on ≥2 worker tids, got \
+         {flow_workers:?} (all tids {:?})",
+        flow.tids
+    );
+
+    // How many of a batch's eight workers claim a task depends on
+    // scheduling: a short batch can drain before its last workers start.
+    // One batch sized by SVT_THREADS, like the flow's, whose eight tasks
+    // wait for each other puts every worker into the trace (a 30 s
+    // deadline keeps a pool that runs fewer workers from hanging the test).
+    let arrived = AtomicUsize::new(0);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    svt_exec::par_map(&[(); 8], |()| {
+        arrived.fetch_add(1, Ordering::SeqCst);
+        while arrived.load(Ordering::SeqCst) < 8 && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+    });
+    let stats = emit_and_validate(&trace_path);
     assert!(
         stats.tids_with_event("exec.pool.task") >= 8,
         "expected ≥8 worker tids with pool task events, got {:?}",
         stats.tids
-    );
-    assert!(
-        stats.tids_with_event("core.signoff") >= 1,
-        "sign-off span missing from the trace"
     );
 
     // Publish the audit reports next to the trace for CI artifact upload.

@@ -1,4 +1,4 @@
-//! In-place radix-2 complex FFT.
+//! In-place radix-2 complex FFT over split real/imaginary lanes.
 //!
 //! The imaging engine needs forward and inverse transforms on
 //! power-of-two-length buffers (mask spectrum ↔ field amplitude). The
@@ -15,6 +15,17 @@
 //! once per size instead of once per call. Twiddles are tabulated directly
 //! as `cis(-2πk/len)` rather than by repeated multiplication, which is
 //! also slightly more accurate than the incremental recurrence.
+//!
+//! Data lives in two `f64` lanes (structure of arrays), and one butterfly
+//! routine serves every transform: [`forward`], [`inverse`], and the
+//! passband-pruned inverse of the Abbe imaging loop
+//! ([`ImagingConfig::aerial_image`](crate::ImagingConfig::aerial_image)),
+//! which runs each stage only over the blocks its nonzero inputs have
+//! reached. Each butterfly performs the IEEE operations of `u ± v·w` on
+//! [`Complex`] values, in the same order, and Rust never contracts them
+//! into fused multiply-adds, so the compiler may vectorize across
+//! butterflies without changing a bit. The inverse reads the negated
+//! imaginary twiddle lane, exactly the value `w.conj()` gives.
 
 use std::f64::consts::PI;
 use std::sync::{Arc, OnceLock};
@@ -24,12 +35,13 @@ use svt_exec::MemoCache;
 use crate::Complex;
 
 /// Precomputed machinery for one transform length.
-struct Plan {
+pub(crate) struct Plan {
     /// `bitrev[i]` is the bit-reversed index of `i`.
     bitrev: Vec<u32>,
-    /// `stages[s]` holds the `len/2` forward twiddles `cis(-2πk/len)` for
-    /// butterfly length `len = 2^(s+1)`; the inverse pass conjugates them.
-    stages: Vec<Vec<Complex>>,
+    /// `stages[s]` holds the real and imaginary lanes of the `len/2`
+    /// forward twiddles `cis(-2πk/len)` for butterfly length
+    /// `len = 2^(s+1)`; the inverse pass negates the imaginary lane.
+    stages: Vec<(Vec<f64>, Vec<f64>)>,
 }
 
 impl Plan {
@@ -37,8 +49,12 @@ impl Plan {
         let bits = n.trailing_zeros();
         let bitrev = (0..n)
             .map(|i| {
+                // A shift by the full width (n = 1) leaves index 0.
                 #[allow(clippy::cast_possible_truncation)]
-                let j = (i.reverse_bits() >> (usize::BITS - bits)) as u32;
+                let j = i
+                    .reverse_bits()
+                    .checked_shr(usize::BITS - bits)
+                    .unwrap_or(0) as u32;
                 j
             })
             .collect();
@@ -46,17 +62,150 @@ impl Plan {
         let mut len = 2usize;
         while len <= n {
             let ang = -2.0 * PI / len as f64;
-            stages.push((0..len / 2).map(|k| Complex::cis(ang * k as f64)).collect());
+            let (re, im) = (0..len / 2)
+                .map(|k| {
+                    let w = Complex::cis(ang * k as f64);
+                    (w.re, w.im)
+                })
+                .unzip();
+            stages.push((re, im));
             len <<= 1;
         }
         Plan { bitrev, stages }
+    }
+
+    /// Runs stage `stage`'s butterflies over block `block` (positions
+    /// `[block·len, (block+1)·len)` with `len = 2^(stage+1)`).
+    #[inline]
+    fn block<const INVERSE: bool>(
+        &self,
+        re: &mut [f64],
+        im: &mut [f64],
+        stage: usize,
+        block: usize,
+    ) {
+        let (wr, wi) = &self.stages[stage];
+        let half = wr.len();
+        let span = block * 2 * half..(block + 1) * 2 * half;
+        let (lo_re, hi_re) = re[span.clone()].split_at_mut(half);
+        let (lo_im, hi_im) = im[span].split_at_mut(half);
+        butterflies::<INVERSE>(lo_re, lo_im, hi_re, hi_im, wr, wi);
+    }
+
+    /// Runs stages `from..` over every block of lanes already in
+    /// bit-reversed order (the result lands in natural order, unscaled).
+    fn run_stages<const INVERSE: bool>(&self, re: &mut [f64], im: &mut [f64], from: usize) {
+        let n = re.len();
+        for stage in from..self.stages.len() {
+            for block in 0..n >> (stage + 1) {
+                self.block::<INVERSE>(re, im, stage, block);
+            }
+        }
+    }
+
+    /// Forward transform of real samples (natural order) into `re`/`im`,
+    /// resized to the plan's length: the samples go to their bit-reversed
+    /// slots of zeroed lanes, then every stage runs (the result lands in
+    /// natural order, unscaled).
+    pub(crate) fn forward_real(&self, samples: &[f64], re: &mut Vec<f64>, im: &mut Vec<f64>) {
+        zeroed(re, self.bitrev.len());
+        zeroed(im, self.bitrev.len());
+        for (&t, &j) in samples.iter().zip(&self.bitrev) {
+            re[j as usize] = t;
+        }
+        self.run_stages::<false>(re, im, 0);
+    }
+
+    /// Unscaled inverse transform of a spectrum whose only nonzero bins are
+    /// `bins` (natural-order `(k, X[k])` pairs, each `k` at most once) into
+    /// `re`/`im`, resized to the plan's length; the result lands in natural
+    /// order. `live` is scratch for the live-block list.
+    ///
+    /// Each bin goes to its bit-reversed slot of zeroed lanes, and stage `s`
+    /// runs only over its live blocks, a block being live when either of
+    /// its halves was live one stage earlier; once every block is live, the
+    /// remaining stages run in full. A skipped block's inputs are exact
+    /// zeros, so the full network could only have written ±0 there; every
+    /// nonzero value therefore matches the full network bit for bit, and a
+    /// zero matches it up to its sign.
+    pub(crate) fn inverse_sparse(
+        &self,
+        bins: impl IntoIterator<Item = (usize, Complex)>,
+        re: &mut Vec<f64>,
+        im: &mut Vec<f64>,
+        live: &mut Vec<u32>,
+    ) {
+        let n = self.bitrev.len();
+        zeroed(re, n);
+        zeroed(im, n);
+        live.clear();
+        for (k, z) in bins {
+            let j = self.bitrev[k];
+            re[j as usize] = z.re;
+            im[j as usize] = z.im;
+            live.push(j);
+        }
+        live.sort_unstable();
+        for stage in 0..self.stages.len() {
+            for j in live.iter_mut() {
+                *j >>= 1;
+            }
+            live.dedup();
+            if live.len() == n >> (stage + 1) {
+                self.run_stages::<true>(re, im, stage);
+                return;
+            }
+            for &block in live.iter() {
+                self.block::<true>(re, im, stage, block as usize);
+            }
+        }
+    }
+}
+
+/// Clears `lane` and fills it with `n` zeros.
+fn zeroed(lane: &mut Vec<f64>, n: usize) {
+    lane.clear();
+    lane.resize(n, 0.0);
+}
+
+/// One butterfly per index over a block's halves: `v = hi·w`, then
+/// `lo ← lo + v` and `hi ← lo − v`, with the IEEE operations of
+/// [`Complex`]'s `Mul`, `Add` and `Sub` in the same order.
+#[inline]
+fn butterflies<const INVERSE: bool>(
+    lo_re: &mut [f64],
+    lo_im: &mut [f64],
+    hi_re: &mut [f64],
+    hi_im: &mut [f64],
+    wr: &[f64],
+    wi: &[f64],
+) {
+    let half = wr.len();
+    let (lo_re, lo_im) = (&mut lo_re[..half], &mut lo_im[..half]);
+    let (hi_re, hi_im, wi) = (&mut hi_re[..half], &mut hi_im[..half], &wi[..half]);
+    for k in 0..half {
+        let w_re = wr[k];
+        let w_im = if INVERSE { -wi[k] } else { wi[k] };
+        let (x_re, x_im) = (hi_re[k], hi_im[k]);
+        let v_re = x_re * w_re - x_im * w_im;
+        let v_im = x_re * w_im + x_im * w_re;
+        let (u_re, u_im) = (lo_re[k], lo_im[k]);
+        lo_re[k] = u_re + v_re;
+        lo_im[k] = u_im + v_im;
+        hi_re[k] = u_re - v_re;
+        hi_im[k] = u_im - v_im;
     }
 }
 
 /// Cached plans keyed by transform length. Aerial imaging uses a handful
 /// of sizes (one per mask window), so this stays tiny.
-fn plan_for(n: usize) -> Arc<Plan> {
+///
+/// # Panics
+///
+/// Panics if `n` is not a power of two.
+pub(crate) fn plan_for(n: usize) -> Arc<Plan> {
     static PLANS: OnceLock<MemoCache<usize, Arc<Plan>>> = OnceLock::new();
+    assert!(n.is_power_of_two(), "FFT length {n} is not a power of two");
     PLANS
         .get_or_init(|| MemoCache::new(4, 64))
         .get_or_insert_with(n, || Arc::new(Plan::build(n)))
@@ -82,7 +231,7 @@ pub fn next_pow2(n: usize) -> usize {
 ///
 /// Panics if `data.len()` is not a power of two.
 pub fn forward(data: &mut [Complex]) {
-    transform(data, -1.0);
+    through_lanes::<false>(data);
 }
 
 /// In-place inverse FFT (including the `1/N` normalization).
@@ -91,43 +240,26 @@ pub fn forward(data: &mut [Complex]) {
 ///
 /// Panics if `data.len()` is not a power of two.
 pub fn inverse(data: &mut [Complex]) {
-    transform(data, 1.0);
+    through_lanes::<true>(data);
     let scale = 1.0 / data.len() as f64;
     for z in data.iter_mut() {
         *z = z.scale(scale);
     }
 }
 
-fn transform(data: &mut [Complex], sign: f64) {
-    let n = data.len();
-    assert!(n.is_power_of_two(), "FFT length {n} is not a power of two");
-    if n <= 1 {
-        return;
+/// Splits `data` into bit-reversed lanes, runs every stage, and writes the
+/// natural-order result back.
+fn through_lanes<const INVERSE: bool>(data: &mut [Complex]) {
+    let plan = plan_for(data.len());
+    let mut re = vec![0.0; data.len()];
+    let mut im = vec![0.0; data.len()];
+    for (z, &j) in data.iter().zip(&plan.bitrev) {
+        re[j as usize] = z.re;
+        im[j as usize] = z.im;
     }
-
-    let plan = plan_for(n);
-
-    // Bit-reversal permutation.
-    for (i, &rev) in plan.bitrev.iter().enumerate() {
-        let j = rev as usize;
-        if j > i {
-            data.swap(i, j);
-        }
-    }
-
-    // Butterflies, twiddles from the per-stage tables.
-    let inverse_pass = sign > 0.0;
-    for (stage, twiddles) in plan.stages.iter().enumerate() {
-        let len = 2usize << stage;
-        for start in (0..n).step_by(len) {
-            for (k, &tw) in twiddles.iter().enumerate() {
-                let w = if inverse_pass { tw.conj() } else { tw };
-                let u = data[start + k];
-                let v = data[start + k + len / 2] * w;
-                data[start + k] = u + v;
-                data[start + k + len / 2] = u - v;
-            }
-        }
+    plan.run_stages::<INVERSE>(&mut re, &mut im, 0);
+    for (z, (&r, &i)) in data.iter_mut().zip(re.iter().zip(&im)) {
+        *z = Complex::new(r, i);
     }
 }
 

@@ -88,7 +88,9 @@ impl LibraryOpc {
     /// The returned gates are in cell-local coordinates; the dummy
     /// environment is stripped. `printed_cd_nm[i]` is the library-OPC
     /// prediction of gate `i`'s device CD — the CD used to characterize
-    /// interior devices.
+    /// interior devices. Each gate is measured on the verification image
+    /// [`ModelOpc::correct`] already took of the corrected mask, so the cell
+    /// is never imaged again for its printed CDs.
     ///
     /// # Errors
     ///
@@ -125,20 +127,25 @@ impl LibraryOpc {
         pattern.push(OpcLine::dummy(left_dummy, self.dummy_width_nm));
         pattern.push(OpcLine::dummy(right_dummy, self.dummy_width_nm));
 
-        let report = self.opc.correct(&mut pattern)?;
+        let (report, image) = self.opc.correct_imaged(&mut pattern)?;
 
-        // Measure every gate in the corrected dummy environment.
+        // Measure every gate in the corrected dummy environment, on the
+        // verification image of the corrected mask (`None` only when the
+        // cell has no gate).
         let model = self.opc.model();
-        let chrome = pattern.chrome();
-        let mut out_gates = Vec::new();
-        let mut printed = Vec::new();
-        for line in pattern.lines() {
-            if line.kind != LineKind::Gate {
-                continue;
+        let out_gates: Vec<OpcLine> = pattern
+            .lines()
+            .iter()
+            .filter(|l| l.kind == LineKind::Gate)
+            .copied()
+            .collect();
+        let mut printed = Vec::with_capacity(out_gates.len());
+        if let Some(image) = &image {
+            for g in &out_gates {
+                let cd = svt_litho::measure_cd_at(image, g.center, model.resist(), 1.0)
+                    .and_then(|p| model.device_cd(p))?;
+                printed.push(cd);
             }
-            let cd = model.print_device_cd(x0, length, &chrome, line.center, 0.0, 1.0)?;
-            out_gates.push(*line);
-            printed.push(cd);
         }
         Ok(CorrectedCutline {
             gates: out_gates,

@@ -573,12 +573,16 @@ pub(crate) fn input_conn(
 /// (`out`, `inputs`): checks that the variant drives the topology's
 /// recorded output pin and that every input pin is connected and has an
 /// arc, then pushes one [`ArcSlot`] per input pin, in pin order, with a
-/// zero delay.
+/// zero delay. Last it checks that the inputs sit on the connections the
+/// topology recorded for the instance (as a multiset): the levelizer
+/// counts an instance's inputs through its slots but releases them
+/// through the topology's `users_of`, so the two must agree.
 ///
 /// # Errors
 ///
-/// [`StaError::InvalidBinding`] when the output pin moved (the topology
-/// is stale) or a connection index does not fit the packing;
+/// [`StaError::InvalidBinding`] when the output pin moved or the input
+/// connections differ from the recorded ones (the topology is stale), or
+/// a connection index does not fit the packing;
 /// [`StaError::MissingTiming`] when the variant has no output or no input
 /// pin, or an input pin is unconnected or lacks an arc.
 pub(crate) fn resolve_instance(
@@ -613,21 +617,52 @@ pub(crate) fn resolve_instance(
             let pin = &cell.pins[usize::from(input.pin)].name;
             return Err(missing(format!("no arc from pin `{pin}`")));
         }
-        let conn_u16 = u16::try_from(conn).map_err(|_| StaError::InvalidBinding {
-            reason: format!(
-                "instance `{}` has more connections than the arc slot packing holds",
-                netlist.instances()[idx].name
-            ),
-        })?;
         slots.push(ArcSlot {
             delay: 0.0,
             net: topo.conn_ids[idx][conn],
-            conn: conn_u16,
+            conn: packed_conn(netlist, idx, conn)?,
             pin: input.pin,
             arc: input.arc,
         });
     }
+    // A library variant's inputs usually resolve in connection order;
+    // otherwise equal lengths and equal multiplicities of every resolved
+    // connection mean equal multisets (a variant may repeat a pin name).
+    let recorded = topo.input_conns_of(idx);
+    let resolved = &slots[slots.len() - inputs.len()..];
+    let conns = || resolved.iter().map(|s| s.conn);
+    let same = conns().eq(recorded.iter().copied())
+        || (resolved.len() == recorded.len()
+            && conns().all(|conn| {
+                conns().filter(|&c| c == conn).count()
+                    == recorded.iter().filter(|&&r| r == conn).count()
+            }));
+    if !same {
+        return Err(stale(&format!(
+            "input pins of `{}` changed",
+            netlist.instances()[idx].name
+        )));
+    }
     Ok(())
+}
+
+/// Connection index `conn` of instance `idx` as the `u16` an [`ArcSlot`]
+/// packs it in.
+///
+/// # Errors
+///
+/// [`StaError::InvalidBinding`] when it does not fit.
+pub(crate) fn packed_conn(
+    netlist: &MappedNetlist,
+    idx: usize,
+    conn: usize,
+) -> Result<u16, StaError> {
+    u16::try_from(conn).map_err(|_| StaError::InvalidBinding {
+        reason: format!(
+            "instance `{}` has more connections than the arc slot packing holds",
+            netlist.instances()[idx].name
+        ),
+    })
 }
 
 /// The arc-resolution pass of a full analysis: every instance's arcs,
@@ -644,7 +679,7 @@ fn resolve_arcs(
     let mut variants = Variants::new(scratch);
     let mut offsets: Vec<u32> = Vec::with_capacity(n + 1);
     offsets.push(0);
-    let mut data: Vec<ArcSlot> = Vec::with_capacity(topo.arc_count);
+    let mut data: Vec<ArcSlot> = Vec::with_capacity(topo.input_conns.len());
     for (idx, cell) in binding.cells().iter().enumerate() {
         let (out, inputs) = variants.get(cell, &topo.pin_names)?;
         resolve_instance(netlist, topo, idx, cell, out, inputs, &mut data)?;
@@ -945,6 +980,62 @@ mod tests {
         );
         // A topology interned from the moved binding times it.
         assert!(analyze_full(&m, &moved, &opts).is_ok());
+    }
+
+    /// x = NOT(a), z = NAND(a, x), with the NAND's variant dropping its
+    /// pin on x (a negative capacitance makes it no input); also the
+    /// NAND's index.
+    fn nand_without_its_pin_on_x() -> (MappedNetlist, CellBinding, CellBinding, usize) {
+        let (m, lib) = mapped("# t\nINPUT(a)\nOUTPUT(z)\nx = NOT(a)\nz = NAND(a, x)\n");
+        let binding = CellBinding::nominal(&m, &lib).unwrap();
+        let nand = m
+            .instances()
+            .iter()
+            .position(|inst| inst.connections.iter().any(|(_, net)| net == "z"))
+            .unwrap();
+        let pin_on_x = m.instances()[nand]
+            .connections
+            .iter()
+            .find(|(_, net)| net == "x")
+            .map(|(pin, _)| pin.clone())
+            .unwrap();
+        let mut cell = binding.cell(nand).clone();
+        for pin in &mut cell.pins {
+            if pin.name == pin_on_x {
+                pin.capacitance_pf = -1.0;
+            }
+        }
+        let mut dropped = binding.clone();
+        dropped.replace(&m, nand, cell).unwrap();
+        (m, binding, dropped, nand)
+    }
+
+    #[test]
+    fn shared_topology_rejects_a_dropped_input_pin() {
+        let (m, binding, dropped, nand) = nand_without_its_pin_on_x();
+        let topo = SharedTopology::build(&m, &binding).unwrap();
+        let opts = TimingOptions::default();
+        // The levelizer would count one input of the NAND and release two:
+        // the stale topology is a typed error, not an underflow.
+        let result = analyze_full_in(&m, &dropped, &opts, &topo, &ScratchArena::new());
+        assert!(
+            matches!(&result, Err(StaError::InvalidBinding { reason }) if reason.contains("input pins")),
+            "{result:?}"
+        );
+        // Re-binding the NAND incrementally is the same typed error, and
+        // writes nothing.
+        let mut state = analyze_full(&m, &binding, &opts).unwrap();
+        let before = state.clone();
+        let result = state.update(&m, &dropped, &[nand], &ScratchArena::new());
+        assert!(
+            matches!(&result, Err(StaError::InvalidBinding { reason }) if reason.contains("input pins")),
+            "{result:?}"
+        );
+        assert_eq!(state, before);
+        // A topology interned from the dropped binding times it.
+        let own = SharedTopology::build(&m, &dropped).unwrap();
+        let timed = analyze_full_in(&m, &dropped, &opts, &own, &ScratchArena::new()).unwrap();
+        assert_eq!(timed, analyze_full(&m, &dropped, &opts).unwrap());
     }
 
     #[test]

@@ -58,7 +58,8 @@ use svt_exec::ScratchArena;
 use svt_netlist::MappedNetlist;
 
 use crate::analysis::{
-    evaluate_instance, input_conn, resolve_instance, sum_loads, ArcSlot, ArcStore, Variants, NO_PIN,
+    evaluate_instance, input_conn, packed_conn, resolve_instance, sum_loads, ArcSlot, ArcStore,
+    Variants, NO_PIN,
 };
 use crate::report::TimingReport;
 use crate::{CellBinding, StaError, TimingOptions};
@@ -103,9 +104,15 @@ pub(crate) struct Topology {
     pub(crate) po_ids: Vec<u32>,
     /// Per net, how often `netlist.outputs()` lists it.
     pub(crate) po_count: Vec<u32>,
-    /// Connected input pins of the binding the topology was built from:
-    /// the arc count of an analysis with pin-compatible variants.
-    pub(crate) arc_count: usize,
+    /// Per instance (CSR: `input_conns[input_offsets[i]..input_offsets[i
+    /// + 1]]`), the `connections` index of each input pin of the variant
+    /// the topology was built from, sorted ascending so that variants
+    /// listing the same pins in another order build equal topologies. The
+    /// instance⇄net relations (`users_of`) were built from exactly these
+    /// connections, so arc resolution rejects a variant whose inputs sit
+    /// elsewhere; `input_conns.len()` is the arc count of an analysis.
+    pub(crate) input_offsets: Vec<u32>,
+    pub(crate) input_conns: Vec<u16>,
 }
 
 /// Equality of what the ids mean. The stamp only names the netlist value
@@ -122,6 +129,8 @@ impl PartialEq for Topology {
             && self.out_pin == other.out_pin
             && self.driver_of == other.driver_of
             && self.users_of == other.users_of
+            && self.input_offsets == other.input_offsets
+            && self.input_conns == other.input_conns
             && self.po_ids == other.po_ids
     }
 }
@@ -213,7 +222,9 @@ impl Topology {
         let mut out_pin: Vec<u16> = Vec::with_capacity(n);
         let mut driver_of: Vec<u32> = vec![u32::MAX; net_names.len()];
         let mut users_of: Vec<Vec<u32>> = vec![Vec::new(); net_names.len()];
-        let mut arc_count = 0usize;
+        let mut input_offsets: Vec<u32> = Vec::with_capacity(n + 1);
+        input_offsets.push(0);
+        let mut input_conns: Vec<u16> = Vec::new();
         for (idx, cell) in binding.cells().iter().enumerate() {
             let missing = |reason: &str| StaError::MissingTiming {
                 instance: netlist.instances()[idx].name.clone(),
@@ -230,11 +241,14 @@ impl Topology {
             out_pin.push(out);
             let inst_id = u32::try_from(idx).expect("instance count fits u32");
             driver_of[out_id as usize] = inst_id;
+            let first = input_conns.len();
             for &input in inputs {
                 let conn = input_conn(netlist, &conn_pins[idx], idx, cell, input)?;
                 users_of[conn_ids[idx][conn] as usize].push(inst_id);
-                arc_count += 1;
+                input_conns.push(packed_conn(netlist, idx, conn)?);
             }
+            input_conns[first..].sort_unstable();
+            input_offsets.push(u32::try_from(input_conns.len()).expect("arc count fits u32"));
         }
 
         Ok(Topology {
@@ -251,8 +265,16 @@ impl Topology {
             users_of,
             po_ids,
             po_count,
-            arc_count,
+            input_offsets,
+            input_conns,
         })
+    }
+
+    /// The `connections` indices of instance `idx`'s input pins when the
+    /// topology was built.
+    pub(crate) fn input_conns_of(&self, idx: usize) -> &[u16] {
+        let span = self.input_offsets[idx] as usize..self.input_offsets[idx + 1] as usize;
+        &self.input_conns[span]
     }
 
     /// The pin name of one `connections` entry of one instance.
@@ -299,7 +321,8 @@ impl SharedTopology {
     /// [`StaError::MissingTiming`] when a bound variant has no output
     /// pin or an input/output pin is unconnected;
     /// [`StaError::InvalidBinding`] when the binding does not cover the
-    /// netlist or a variant does not fit the arc slot packing.
+    /// netlist or a variant or input connection does not fit the arc slot
+    /// packing.
     pub fn build(
         netlist: &MappedNetlist,
         binding: &CellBinding,
@@ -418,8 +441,8 @@ impl StaState {
     /// * [`StaError::InvalidBinding`] when the binding does not cover the
     ///   netlist, the netlist is not the analyzed one, a changed index is
     ///   out of range, a re-bound variant changed pin roles (its output
-    ///   pin or the nets its input pins sample) or does not fit the arc
-    ///   slot packing,
+    ///   pin or the connections its input pins sit on) or does not fit the
+    ///   arc slot packing,
     /// * [`StaError::MissingTiming`] when a re-bound variant has no
     ///   output pin or no input pin, or an input pin that is unconnected
     ///   or lacks an arc.
@@ -443,9 +466,10 @@ impl StaState {
         // `dirty` starts as the seed set; the forward pass extends it to
         // exactly the instances it re-evaluates.
         let dirty: &mut [bool] = scratch.alloc_slice_fill(n, false);
-        // Check phase: re-resolve each re-bound instance's arcs, which
-        // must sample the nets of its stored slot (so the instance⇄net
-        // relations and the CSR layout still hold).
+        // Check phase: re-resolve each re-bound instance's arcs. Resolution
+        // checks that they sit on the connections the topology recorded,
+        // as the stored slots do, so the instance⇄net relations and the
+        // CSR layout still hold.
         let mut variants = Variants::new(scratch);
         let mut seeds: Vec<usize> = Vec::new();
         let mut resolved: Vec<ArcSlot> = Vec::new();
@@ -458,16 +482,9 @@ impl StaState {
             if dirty[idx] {
                 continue;
             }
-            let start = resolved.len();
             let cell = &binding.cells()[idx];
             let (out, inputs) = variants.get(cell, &topo.pin_names)?;
             resolve_instance(netlist, &topo, idx, cell, out, inputs, &mut resolved)?;
-            if !same_nets(&resolved[start..], self.arcs.of(idx)) {
-                return Err(stale(&format!(
-                    "input pins of `{}` changed",
-                    netlist.instances()[idx].name
-                )));
-            }
             dirty[idx] = true;
             seeds.push(idx);
         }
@@ -605,12 +622,6 @@ impl StaState {
             backward_nets,
         })
     }
-}
-
-/// Whether two arc slots sample the same nets, with multiplicity.
-fn same_nets(a: &[ArcSlot], b: &[ArcSlot]) -> bool {
-    let count = |arcs: &[ArcSlot], net: u32| arcs.iter().filter(|x| x.net == net).count();
-    a.len() == b.len() && a.iter().all(|x| count(a, x.net) == count(b, x.net))
 }
 
 #[cfg(test)]
