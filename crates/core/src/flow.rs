@@ -6,7 +6,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use serde::{Deserialize, Serialize};
 
 use svt_exec::{try_par_chunks, try_par_map, MemoCache, ScratchPool};
-use svt_netlist::{MappedInstance, MappedNetlist};
+use svt_netlist::MappedNetlist;
 use svt_obs::audit::{AuditTrail, CornerDelay, InstanceAudit, PathAudit, TrimRecord};
 use svt_place::{DeviceSite, Placement, PlacementOptions};
 use svt_sta::{
@@ -454,10 +454,10 @@ impl<'a> SignoffFlow<'a> {
         }
     }
 
-    /// Per-instance dense library cell ids (`None`: a cell the library
+    /// The dense library cell id of `cell` (`None`: a cell the library
     /// lacks, which bypasses the memos so its own lookup reports the
-    /// error). Computed once per run and shared by its six corners.
-    fn instance_cell_ids(&self, netlist: &MappedNetlist) -> Vec<Option<u32>> {
+    /// error).
+    fn cell_id(&self, cell: &str) -> Option<u32> {
         let ids = self.caches.cell_ids.get_or_init(|| {
             self.library
                 .cells()
@@ -466,10 +466,16 @@ impl<'a> SignoffFlow<'a> {
                 .map(|(i, c)| (c.name().to_string(), u32::try_from(i).expect("cell count")))
                 .collect()
         });
+        ids.get(cell).copied()
+    }
+
+    /// Per-instance [`SignoffFlow::cell_id`]s, computed once per run and
+    /// shared by its six corners.
+    fn instance_cell_ids(&self, netlist: &MappedNetlist) -> Vec<Option<u32>> {
         netlist
             .instances()
             .iter()
-            .map(|inst| ids.get(inst.cell.as_str()).copied())
+            .map(|inst| self.cell_id(&inst.cell))
             .collect()
     }
 
@@ -631,47 +637,63 @@ impl<'a> SignoffFlow<'a> {
     }
 
     /// [`CellBinding::uniform_scaled`] through the flow's per-(cell,
-    /// length) memo: one memo lookup per distinct master, then every
-    /// instance is bound by its cell id to its master's shared [`Arc`].
+    /// length) memo: one [`SignoffFlow::traditional_variant`] per distinct
+    /// master, then every instance is bound by its cell id to its
+    /// master's shared [`Arc`].
     fn uniform_scaled_cached(
         &self,
         netlist: &MappedNetlist,
         cell_ids: &[Option<u32>],
         gate_length_nm: f64,
     ) -> Result<CellBinding, StaError> {
-        let characterize = |inst: &MappedInstance| {
-            CellBinding::uniform_scaled_cell(self.library, &inst.cell, gate_length_nm)
-                .map(Arc::new)
-                .map_err(|e| StaError::InvalidBinding {
-                    reason: format!("instance `{}`: {e}", inst.name),
-                })
-        };
         let mut by_id: Vec<Option<Arc<CharacterizedCell>>> = vec![None; self.library.cells().len()];
         let mut cells = Vec::with_capacity(cell_ids.len());
         for (inst, &id) in netlist.instances().iter().zip(cell_ids) {
-            let cell = match id {
-                // Not in the library: characterizing reports it.
-                None => characterize(inst)?,
-                Some(id) => match &by_id[id as usize] {
-                    Some(cell) => Arc::clone(cell),
-                    None => {
-                        let key = (id, gate_length_nm.to_bits());
-                        let cell = match self.caches.trad.get(&key) {
-                            Some(hit) => hit,
-                            None => {
-                                let built = characterize(inst)?;
-                                self.caches.trad.insert(key, Arc::clone(&built));
-                                built
-                            }
-                        };
+            let cell = match id.and_then(|id| by_id[id as usize].clone()) {
+                Some(cell) => cell,
+                None => {
+                    let cell = self
+                        .traditional_variant(&inst.cell, gate_length_nm)
+                        .map_err(|e| StaError::InvalidBinding {
+                            reason: format!("instance `{}`: {e}", inst.name),
+                        })?;
+                    if let Some(id) = id {
                         by_id[id as usize] = Some(Arc::clone(&cell));
-                        cell
                     }
-                },
+                    cell
+                }
             };
             cells.push(cell);
         }
         CellBinding::new_shared(netlist, cells)
+    }
+
+    /// Master `cell` with every device at `gate_length_nm` (the
+    /// traditional corners' variant), through the flow's per-(cell id,
+    /// length) memo.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StaError::InvalidBinding`] if the library lacks `cell` or
+    /// characterization fails.
+    pub fn traditional_variant(
+        &self,
+        cell: &str,
+        gate_length_nm: f64,
+    ) -> Result<Arc<CharacterizedCell>, StaError> {
+        let characterize =
+            || CellBinding::uniform_scaled_cell(self.library, cell, gate_length_nm).map(Arc::new);
+        let Some(id) = self.cell_id(cell) else {
+            // Not in the library: characterizing reports it.
+            return characterize();
+        };
+        let key = (id, gate_length_nm.to_bits());
+        if let Some(hit) = self.caches.trad.get(&key) {
+            return Ok(hit);
+        }
+        let built = characterize()?;
+        self.caches.trad.insert(key, Arc::clone(&built));
+        Ok(built)
     }
 
     /// Applies the non-gate-length process-corner derate to BC/WC. Every
@@ -764,14 +786,7 @@ impl<'a> SignoffFlow<'a> {
         let mut entries: Vec<(usize, Option<VariantKey>)> = Vec::new();
         let entry_of = (0..cell_ids.len())
             .map(|idx| {
-                let effective = if self.options.use_context_library {
-                    contexts[idx]
-                } else {
-                    CellContext::default()
-                };
-                let key = cell_ids[idx]
-                    .zip(pack_classes(&classes[idx]))
-                    .map(|(cell, bits)| (cell, effective, bits));
+                let key = self.variant_key(cell_ids[idx], contexts[idx], &classes[idx]);
                 let next = u32::try_from(entries.len()).expect("entry count fits u32");
                 let entry = key.map_or(next, |key| *index.entry(key).or_insert(next));
                 if entry == next {
@@ -781,6 +796,24 @@ impl<'a> SignoffFlow<'a> {
             })
             .collect();
         AwareWork { entries, entry_of }
+    }
+
+    /// The memo key, corner aside, of cell `cell_id` in `context` with
+    /// device `classes`: `None` when it bypasses the memo.
+    fn variant_key(
+        &self,
+        cell_id: Option<u32>,
+        context: CellContext,
+        classes: &[DeviceClass],
+    ) -> Option<VariantKey> {
+        let effective = if self.options.use_context_library {
+            context
+        } else {
+            CellContext::default()
+        };
+        cell_id
+            .zip(pack_classes(classes))
+            .map(|(cell, bits)| (cell, effective, bits))
     }
 
     /// One aware corner's binding: each distinct key is looked up in the
@@ -796,11 +829,10 @@ impl<'a> SignoffFlow<'a> {
         corner: Corner,
     ) -> Result<CellBinding, FlowError> {
         let code = corner_code(corner);
-        let memo_key = |(cell, context, bits): VariantKey| (cell, context, bits, code);
         let mut variants: Vec<Option<Arc<CharacterizedCell>>> = work
             .entries
             .iter()
-            .map(|&(_, key)| key.and_then(|key| self.caches.aware.get(&memo_key(key))))
+            .map(|&(_, key)| key.and_then(|(c, x, b)| self.caches.aware.get(&(c, x, b, code))))
             .collect();
         let misses: Vec<usize> = (0..variants.len())
             .filter(|&e| variants[e].is_none())
@@ -812,9 +844,11 @@ impl<'a> SignoffFlow<'a> {
                     self.characterize_instance(netlist, idx, contexts[idx], &classes[idx], corner)?;
                 Ok(Arc::new(cell))
             })?;
+            // Memoized on this thread, not on the pool's workers: worker
+            // inserts made `table2`'s peak RSS spike in more of its runs.
             for (&e, cell) in misses.iter().zip(built) {
-                if let Some(key) = work.entries[e].1 {
-                    self.caches.aware.insert(memo_key(key), Arc::clone(&cell));
+                if let Some((c, x, b)) = work.entries[e].1 {
+                    self.caches.aware.insert((c, x, b, code), Arc::clone(&cell));
                 }
                 variants[e] = Some(cell);
             }
@@ -827,10 +861,41 @@ impl<'a> SignoffFlow<'a> {
         Ok(CellBinding::new_shared(netlist, cells)?)
     }
 
+    /// Instance `idx`'s aware variant at `corner` through the flow's memo,
+    /// the lookup a run's aware corners make once per distinct key: a
+    /// miss is characterized ([`SignoffFlow::characterize_instance`]) and
+    /// memoized, unless the instance bypasses the memo.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`SignoffFlow::characterize_instance`] failures.
+    pub fn aware_variant(
+        &self,
+        netlist: &MappedNetlist,
+        idx: usize,
+        context: CellContext,
+        classes: &[DeviceClass],
+        corner: Corner,
+    ) -> Result<Arc<CharacterizedCell>, FlowError> {
+        let cell_id = self.cell_id(&netlist.instances()[idx].cell);
+        let code = corner_code(corner);
+        let key = self
+            .variant_key(cell_id, context, classes)
+            .map(|(cell, context, bits)| (cell, context, bits, code));
+        if let Some(hit) = key.and_then(|key| self.caches.aware.get(&key)) {
+            return Ok(hit);
+        }
+        let cell = Arc::new(self.characterize_instance(netlist, idx, context, classes, corner)?);
+        if let Some(key) = key {
+            self.caches.aware.insert(key, Arc::clone(&cell));
+        }
+        Ok(cell)
+    }
+
     /// Characterizes one placed instance at one aware corner from its
     /// placement context and per-device classes — the unit of work the
     /// aware corner runs fan out (once per distinct memo key), and the
-    /// unit an incremental ECO re-sign-off recomputes per dirty instance.
+    /// one [`SignoffFlow::aware_variant`] computes on a memo miss.
     ///
     /// When the flow's `use_context_library` option is off, the passed
     /// context is ignored and the fully isolated variant is used (paper §5

@@ -1,17 +1,17 @@
 use std::collections::HashSet;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use svt_core::{
     audit_corner_delays, classify_device_site, CornerTiming, DeviceClass, FlowProvenance,
     SignoffComparison, SignoffFlow,
 };
 
-use svt_exec::{try_par_map, MemoCache, ScratchPool};
+use svt_exec::{try_par_map, ScratchPool};
 use svt_netlist::MappedNetlist;
 use svt_obs::audit::{AuditTrail, DeltaAudit, InstanceAudit, PathAudit};
 use svt_place::{instance_contexts_in_sites, DeviceSite, Placement};
 use svt_sta::{CellBinding, StaState};
-use svt_stdcell::{invalidate_pitch_pairs, CharacterizedCell};
+use svt_stdcell::invalidate_pitch_pairs;
 
 use crate::{DeltaReport, EcoEdit, EcoError, EndpointDelta};
 
@@ -32,11 +32,6 @@ const CORNER_NAMES: [&str; 6] = [
     "aware-nom",
     "aware-wc",
 ];
-
-/// Memo key of one aware characterization: characterization is a pure
-/// function of (cell, placement context, device classes, corner), so the
-/// cache is shared across instances and across edits.
-type AwareKey = (String, String, Vec<DeviceClass>, u8);
 
 /// An incremental re-sign-off session over a completed audited run.
 ///
@@ -94,8 +89,6 @@ pub struct EcoSession<'a> {
     netlist: MappedNetlist,
     placement: Placement,
     provenance: FlowProvenance,
-    aware_cache: MemoCache<AwareKey, Arc<CharacterizedCell>>,
-    trad_cache: MemoCache<(String, u8), Arc<CharacterizedCell>>,
     /// Bump arenas for the incremental analysis working set, reused
     /// across corners and edits.
     scratch: ScratchPool,
@@ -155,8 +148,6 @@ impl<'a> EcoSession<'a> {
             netlist,
             placement,
             provenance,
-            aware_cache: MemoCache::default(),
-            trad_cache: MemoCache::default(),
             scratch: ScratchPool::new(),
             audit_offsets,
             edits: Vec::new(),
@@ -204,8 +195,8 @@ impl<'a> EcoSession<'a> {
     ///
     /// Litho dirt is bounded by [`ROI_NM`]: only the touched rows are
     /// extracted, once before and once after the edit, and only instances
-    /// whose context or classes actually changed are re-characterized
-    /// (memoized per cell/context/classes/corner). Timing dirt is
+    /// whose context or classes actually changed are re-bound, through
+    /// the flow's memo that the baseline run filled. Timing dirt is
     /// bounded by [`StaState::update`], which re-times each corner in
     /// place and re-evaluates only instances whose inputs changed bits;
     /// the corners with re-bound instances run on the worker pool, and
@@ -330,14 +321,12 @@ impl<'a> EcoSession<'a> {
                     ),
                     "ROI soundness violated: instance {i} changed outside the ±{ROI_NM} nm window"
                 );
-                self.evict_aware(i);
                 self.provenance.contexts[i] = ctx;
                 self.provenance.classes[i] = classes;
                 dirty.push(i);
             }
             if i == idx && cell_changed && !changed {
                 // Same context and classes, different master: still dirty.
-                self.evict_aware(i);
                 dirty.push(i);
             }
         }
@@ -357,32 +346,16 @@ impl<'a> EcoSession<'a> {
         }
         drop(lito_span);
 
-        // -- Rebind: recharacterize dirty instances per corner. ----------
+        // -- Rebind: dirty instances per corner, through the flow's memo
+        //    (characterization is a pure function of its key, so the
+        //    baseline run's variants stay valid across edits). ----------
         let char_span = svt_obs::span("eco.characterize");
         for (c, corner) in svt_core::Corner::ALL.into_iter().enumerate() {
             for &i in &dirty {
-                let ctx = self.provenance.contexts[i];
-                let classes = self.provenance.classes[i].clone();
-                let key: AwareKey = (
-                    self.netlist.instances()[i].cell.clone(),
-                    ctx.code(),
-                    classes.clone(),
-                    c as u8,
-                );
-                let cell = match self.aware_cache.get(&key) {
-                    Some(cached) => cached,
-                    None => {
-                        let fresh = Arc::new(self.flow.characterize_instance(
-                            &self.netlist,
-                            i,
-                            ctx,
-                            &classes,
-                            corner,
-                        )?);
-                        self.aware_cache.insert(key, Arc::clone(&fresh));
-                        fresh
-                    }
-                };
+                let (ctx, classes) = (self.provenance.contexts[i], &self.provenance.classes[i]);
+                let cell = self
+                    .flow
+                    .aware_variant(&self.netlist, i, ctx, classes, corner)?;
                 self.provenance.aware[c]
                     .binding
                     .replace(&self.netlist, i, cell)?;
@@ -395,19 +368,7 @@ impl<'a> EcoSession<'a> {
                 .into_iter()
                 .enumerate()
             {
-                let key = (new_cell.clone(), c as u8);
-                let cell = match self.trad_cache.get(&key) {
-                    Some(cached) => cached,
-                    None => {
-                        let fresh = Arc::new(CellBinding::uniform_scaled_cell(
-                            self.flow.library(),
-                            &new_cell,
-                            l,
-                        )?);
-                        self.trad_cache.insert(key, Arc::clone(&fresh));
-                        fresh
-                    }
-                };
+                let cell = self.flow.traditional_variant(&new_cell, l)?;
                 self.provenance.traditional[c]
                     .binding
                     .replace(&self.netlist, idx, cell)?;
@@ -618,22 +579,6 @@ impl<'a> EcoSession<'a> {
             .iter()
             .chain(self.provenance.aware.iter())
             .map(|a| &a.state)
-    }
-
-    /// Drops the memoized aware characterizations keyed by instance `i`'s
-    /// *current* (pre-update) context — targeted invalidation through the
-    /// shared cache.
-    fn evict_aware(&self, i: usize) {
-        let cell = &self.netlist.instances()[i].cell;
-        for c in 0..3u8 {
-            let key: AwareKey = (
-                cell.clone(),
-                self.provenance.contexts[i].code(),
-                self.provenance.classes[i].clone(),
-                c,
-            );
-            self.aware_cache.remove(&key);
-        }
     }
 
     fn cell_width(&self, cell: &str) -> Result<f64, EcoError> {
@@ -901,6 +846,43 @@ mod tests {
         );
         // The delta audit splices bit-exactly into the pre-edit audit.
         assert_eq!(delta.delta_audit.splice_into(&old_audit), full.audit);
+    }
+
+    #[test]
+    fn undoing_an_edit_characterizes_nothing() {
+        svt_obs::set_mode(svt_obs::TraceMode::Summary);
+        let (lib, expanded) = setup();
+        let (mapped, placement) = small_design(&lib);
+        let flow = SignoffFlow::new(&lib, &expanded, SignoffOptions::default());
+        let mut session = EcoSession::new(&flow, &mapped, &placement).unwrap();
+        // Abut row 0's last instance to its neighbour, then move it back.
+        let [.., left, last] = session.placement().rows()[0].members[..] else {
+            panic!("row 0 holds two instances");
+        };
+        let left = session.placement().placed()[left].clone();
+        let last = session.placement().placed()[last].clone();
+        let abut = left.x_nm + session.cell_width(&left.cell).unwrap();
+        // Each edit runs under its own root span, which tells its
+        // characterizations apart from other tests' in the shared registry.
+        let mut move_to = |root: &'static str, x_nm: f64| {
+            let _root = svt_obs::span(root);
+            let instance = session.netlist().instances()[last.instance].name.clone();
+            let edit = EcoEdit::MoveInstance {
+                instance,
+                row: last.row,
+                x_nm,
+            };
+            assert!(!session.apply(&edit).unwrap().recharacterized.is_empty());
+            let leaf = format!("{root}/eco.apply/eco.characterize/core.signoff.aware.instance");
+            let spans = svt_obs::registry().snapshot().spans.into_iter();
+            spans
+                .filter(|s| s.path == leaf)
+                .map(|s| s.count)
+                .sum::<u64>()
+        };
+        assert!(move_to("eco.test.edit", abut) > 0);
+        // The baseline run memoized every variant the undo re-binds.
+        assert_eq!(move_to("eco.test.undo", last.x_nm), 0);
     }
 
     #[test]

@@ -32,12 +32,7 @@
 //! (keep-alive connections), which is idleness, not a stall. Callers
 //! heartbeat the genuinely bounded sections themselves.
 //!
-//! **Request-context propagation:** [`ServicePool::try_submit`]
-//! snapshots the submitter's [`svt_obs::RequestContext`] (if one is
-//! active) alongside the job, and the claiming worker re-enters it
-//! around the handler — so spans and capsules recorded inside a pool
-//! task carry the trace id of the request that enqueued it. The handler
-//! can read the wait its own job experienced via
+//! The handler can read the wait its own job experienced via
 //! [`current_queue_wait_ns`].
 
 use std::cell::Cell;
@@ -74,11 +69,9 @@ impl<T> SubmitError<T> {
     }
 }
 
-/// One enqueued job plus the request context and enqueue timestamp it
-/// was submitted under.
+/// One enqueued job plus its enqueue timestamp.
 struct Queued<T> {
     job: T,
-    ctx: Option<svt_obs::RequestContext>,
     enqueued: Instant,
 }
 
@@ -209,7 +202,6 @@ impl<T: Send + 'static> ServicePool<T> {
         }
         state.jobs.push_back(Queued {
             job,
-            ctx: svt_obs::context::current(),
             enqueued: Instant::now(),
         });
         let depth = state.jobs.len();
@@ -297,13 +289,9 @@ fn worker_loop<T, F: Fn(T)>(shared: &Shared<T>, handler: &F) {
         let wait_ns = u64::try_from(job.enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX);
         shared.queue_wait.record(wait_ns);
         let _ = QUEUE_WAIT_NS.try_with(|cell| cell.set(wait_ns));
-        // Re-enter the submitter's request context so everything the
-        // handler records is attributed to the originating request.
-        let ctx_guard = job.ctx.map(svt_obs::context::enter);
         shared.inflight_gauge.add(1);
         let outcome = catch_unwind(AssertUnwindSafe(|| handler(job.job)));
         shared.inflight_gauge.add(-1);
-        drop(ctx_guard);
         let _ = QUEUE_WAIT_NS.try_with(|cell| cell.set(0));
         shared.completed.incr();
         if outcome.is_err() {
@@ -388,34 +376,6 @@ mod tests {
                 .counter("test.svc.panic.handler_panics")
                 .get()
                 >= 1
-        );
-    }
-
-    #[test]
-    fn request_context_propagates_to_the_worker() {
-        let seen = Arc::new(Mutex::new(Vec::<Option<u64>>::new()));
-        let s = Arc::clone(&seen);
-        let pool = ServicePool::spawn("test.svc.ctx", 1, 8, move |_job: u32| {
-            s.lock()
-                .unwrap()
-                .push(svt_obs::context::current().map(|c| c.trace_id));
-        });
-        {
-            let _guard = svt_obs::context::enter(svt_obs::RequestContext {
-                trace_id: 4242,
-                route: "/eco".into(),
-                design: "builtin".into(),
-            });
-            pool.try_submit(1).unwrap();
-        }
-        // Submitted outside any context: the worker must see none.
-        pool.try_submit(2).unwrap();
-        pool.drain();
-        let seen = seen.lock().unwrap();
-        assert_eq!(seen.as_slice(), &[Some(4242), None]);
-        assert!(
-            svt_obs::context::current().is_none(),
-            "worker context must not leak to the submitter"
         );
     }
 

@@ -4,10 +4,10 @@
 //! in the workspace that must *read* JSON — the Chrome-trace validator in
 //! [`crate::chrome`], the `svt-serve` request bodies — goes through this
 //! module. It parses the full JSON grammar (objects keep document order,
-//! numbers are `f64`) and is deliberately small: documents here are
-//! machine-generated telemetry and requests, not adversarial input, but
-//! the parser still rejects malformed text with a positioned error rather
-//! than guessing.
+//! numbers are `f64`) and is deliberately small. Request bodies are
+//! untrusted, so the parser rejects malformed text with a positioned
+//! error rather than guessing, and rejects nesting deeper than
+//! [`MAX_DEPTH`] before its recursion can exhaust a thread's stack.
 //!
 //! # Examples
 //!
@@ -20,6 +20,11 @@
 //! assert_eq!(edit.get("ok").and_then(JsonValue::as_bool), Some(true));
 //! # Ok::<(), String>(())
 //! ```
+
+/// The deepest array/object nesting [`JsonValue::parse`] accepts. The
+/// parser recurses once per level, so this bounds its stack use; the
+/// documents the workspace reads nest at most four deep.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,7 +50,7 @@ impl JsonValue {
     /// # Errors
     ///
     /// Returns a description of the first syntax error, with its byte
-    /// offset.
+    /// offset; nesting deeper than [`MAX_DEPTH`] is one.
     pub fn parse(text: &str) -> Result<JsonValue, String> {
         JsonParser::new(text).parse_document()
     }
@@ -150,7 +155,7 @@ impl<'a> JsonParser<'a> {
     }
 
     fn parse_document(mut self) -> Result<JsonValue, String> {
-        let value = self.parse_value()?;
+        let value = self.parse_value(0)?;
         self.skip_ws();
         if self.pos != self.bytes.len() {
             return Err(format!("trailing bytes at offset {}", self.pos));
@@ -189,10 +194,17 @@ impl<'a> JsonParser<'a> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<JsonValue, String> {
+    /// Parses the value at the cursor, `depth` arrays and objects deep.
+    fn parse_value(&mut self, depth: usize) -> Result<JsonValue, String> {
         match self.peek()? {
-            b'{' => self.parse_object(),
-            b'[' => self.parse_array(),
+            b'{' | b'[' if depth == MAX_DEPTH => {
+                let at = self.pos;
+                Err(format!(
+                    "nesting deeper than {MAX_DEPTH} levels at offset {at}"
+                ))
+            }
+            b'{' => self.parse_object(depth + 1),
+            b'[' => self.parse_array(depth + 1),
             b'"' => Ok(JsonValue::String(self.parse_string()?)),
             b't' => self.parse_literal("true", JsonValue::Bool(true)),
             b'f' => self.parse_literal("false", JsonValue::Bool(false)),
@@ -290,7 +302,7 @@ impl<'a> JsonParser<'a> {
         }
     }
 
-    fn parse_array(&mut self) -> Result<JsonValue, String> {
+    fn parse_array(&mut self, depth: usize) -> Result<JsonValue, String> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         if self.peek()? == b']' {
@@ -298,7 +310,7 @@ impl<'a> JsonParser<'a> {
             return Ok(JsonValue::Array(items));
         }
         loop {
-            items.push(self.parse_value()?);
+            items.push(self.parse_value(depth)?);
             match self.peek()? {
                 b',' => self.pos += 1,
                 b']' => {
@@ -310,7 +322,7 @@ impl<'a> JsonParser<'a> {
         }
     }
 
-    fn parse_object(&mut self) -> Result<JsonValue, String> {
+    fn parse_object(&mut self, depth: usize) -> Result<JsonValue, String> {
         self.expect(b'{')?;
         let mut fields = Vec::new();
         if self.peek()? == b'}' {
@@ -321,7 +333,7 @@ impl<'a> JsonParser<'a> {
             self.skip_ws();
             let key = self.parse_string()?;
             self.expect(b':')?;
-            let value = self.parse_value()?;
+            let value = self.parse_value(depth)?;
             fields.push((key, value));
             match self.peek()? {
                 b',' => self.pos += 1,
@@ -365,6 +377,21 @@ mod tests {
     fn rejects_malformed_documents() {
         for bad in ["", "{", "[1,", "{\"a\" 1}", "tru", "1 2", "{\"a\": 01x}"] {
             assert!(JsonValue::parse(bad).is_err(), "`{bad}` must not parse");
+        }
+    }
+
+    #[test]
+    fn nesting_past_the_depth_bound_is_an_error_not_a_stack_overflow() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(JsonValue::parse(&nested(MAX_DEPTH)).is_ok());
+        // A mebibyte of openers would overflow any thread's stack.
+        for doc in [
+            "[".repeat(1 << 20),
+            "{\"a\":".repeat(1 << 18),
+            nested(MAX_DEPTH + 1),
+        ] {
+            let err = JsonValue::parse(&doc).unwrap_err();
+            assert!(err.contains(&format!("deeper than {MAX_DEPTH}")), "{err}");
         }
     }
 

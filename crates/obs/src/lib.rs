@@ -46,7 +46,6 @@
 pub mod alloc;
 pub mod audit;
 pub mod chrome;
-pub mod context;
 pub mod family;
 pub mod json;
 pub mod metrics;
@@ -63,7 +62,6 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-pub use context::RequestContext;
 pub use family::{CounterFamily, HistogramFamily};
 pub use metrics::{quantile_from_buckets, Counter, Gauge, Histogram, InflightGuard, SpanStat};
 pub use recorder::RequestCapsule;

@@ -2,8 +2,8 @@
 //! request capsules" plus a post-mortem dump path.
 //!
 //! A capsule is the complete local evidence for one slow request: its
-//! [`crate::context::RequestContext`] identity, latency, queue wait,
-//! alloc delta, and the slice of the handler thread's timeline ring
+//! trace id (from [`next_trace_id`]), route and design, latency, queue
+//! wait, alloc delta, and the slice of the handler thread's timeline ring
 //! covering the request window. The serving layer captures a capsule
 //! when a request exceeds its `--slow-ms` threshold; capsules are served
 //! back as JSON at `GET /debug/requests` and as a per-request Chrome
@@ -30,6 +30,7 @@
 //! directory.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::json::escape_json;
@@ -37,6 +38,14 @@ use crate::timeline::{Phase, ThreadTimeline};
 
 /// Maximum retained capsules; the ring evicts oldest-first beyond this.
 pub const CAPSULE_CAPACITY: usize = 64;
+
+/// Allocates the next process-unique request trace id: monotonic and
+/// 1-based, so 0 never names a request. One relaxed `fetch_add`.
+#[must_use]
+pub fn next_trace_id() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
 
 /// The complete recorded evidence for one slow request.
 #[derive(Debug, Clone)]
@@ -309,6 +318,13 @@ mod tests {
     fn ring_lock() -> MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    #[test]
+    fn trace_ids_are_unique_and_nonzero() {
+        let a = next_trace_id();
+        let b = next_trace_id();
+        assert!(a > 0 && b > a);
     }
 
     #[test]

@@ -34,10 +34,11 @@
 //! | `POST /snapshot/save` | capture the warm stack into the `--snapshot` file (`409` when no path is configured) |
 //! | `POST /shutdown`  | graceful drain: in-flight requests finish, new work gets `503` |
 //!
-//! Every request runs under a fresh [`svt_obs::RequestContext`] and is
-//! measured into labeled metric families; `--access-log` adds one
-//! structured JSONL line per request ([`access_log`]), and `--slow-ms`
-//! arms the flight recorder behind the `/debug/requests` surface.
+//! [`route`] resolves every request once against one route table, gives
+//! it a fresh trace id, and measures it into labeled metric families;
+//! `--access-log` adds one structured JSONL line per request
+//! ([`access_log`]), and `--slow-ms` arms the flight recorder behind the
+//! `/debug/requests` surface.
 //!
 //! The HTTP layer is hand-rolled ([`http`]) because the build
 //! environment is offline and the workspace vendors its few external

@@ -18,9 +18,10 @@
 //! [`ServerOptions::keep_alive_max_requests`] requests (pipelining
 //! included) with an idle timeout between them.
 //!
-//! Every request is served under a fresh [`svt_obs::RequestContext`]
-//! (monotonic trace id + route class + design), measured into labeled
-//! metric families (`serve.requests{route,design,status}`,
+//! [`route`] resolves every request once against one route table, which
+//! yields its handler, its route class and design labels, and its
+//! in-flight gauge. The request gets a fresh trace id, is measured into
+//! labeled metric families (`serve.requests{route,design,status}`,
 //! `serve.latency_ns{route,design}`, `serve.response_bytes{route,design}`),
 //! optionally logged as one JSONL line ([`crate::access_log`]), and —
 //! when it exceeds [`ServerOptions::slow_ms`] — captured into the
@@ -207,7 +208,6 @@ fn warm_stack() -> &'static WarmStack {
             snap.preload_flow(flow);
             status.restore_ms += t0.elapsed().as_secs_f64() * 1e3;
         }
-        svt_obs::gauge!("snap.restore_ms").set(status.restore_ms as i64);
         *snapshot_status_slot()
             .lock()
             .expect("snapshot status poisoned") = status;
@@ -783,6 +783,21 @@ pub fn snapshot_info_prometheus() -> String {
     out
 }
 
+fn snapshot_json() -> Response {
+    Response::json(svt_obs::registry().snapshot().to_json())
+}
+
+fn timeline_json() -> Response {
+    Response::json(svt_obs::chrome::render_chrome_trace(
+        &svt_obs::timeline::snapshot_all(),
+    ))
+}
+
+fn shutdown(state: &ServiceState) -> Response {
+    state.begin_drain();
+    Response::json("{\"status\":\"draining\"}".to_string())
+}
+
 fn snapshot_save(state: &ServiceState) -> Response {
     if state.draining() {
         return Response::error(503, "draining");
@@ -935,28 +950,6 @@ fn design_eco(state: &ServiceState, name: &str, req: &Request) -> Response {
         Ok(Err(e)) => eco_error_response(&e),
         Err(e) => registry_error_response(&e),
     }
-}
-
-/// Per-endpoint in-flight gauge, static names so the telemetry
-/// registry interns once per endpoint class.
-fn inflight_guard(method: &str, path: &str) -> svt_obs::InflightGuard {
-    let gauge = match (method, path) {
-        (_, "/healthz") => svt_obs::gauge!("serve.inflight.healthz"),
-        (_, "/metrics") => svt_obs::gauge!("serve.inflight.metrics"),
-        (_, "/snapshot.json") => svt_obs::gauge!("serve.inflight.snapshot"),
-        (_, "/timeline.json") => svt_obs::gauge!("serve.inflight.timeline"),
-        (_, "/query") => svt_obs::gauge!("serve.inflight.query"),
-        (_, "/dashboard") => svt_obs::gauge!("serve.inflight.dashboard"),
-        (_, "/debug/profile") => svt_obs::gauge!("serve.inflight.profile"),
-        (_, p) if p == "/eco" || p.ends_with("/eco") => svt_obs::gauge!("serve.inflight.eco"),
-        (_, p) if p.ends_with("/timing") => svt_obs::gauge!("serve.inflight.timing"),
-        (_, p) if p.ends_with("/warm") => svt_obs::gauge!("serve.inflight.warm"),
-        (_, p) if p == "/designs" || p.starts_with("/designs/") => {
-            svt_obs::gauge!("serve.inflight.designs")
-        }
-        _ => svt_obs::gauge!("serve.inflight.other"),
-    };
-    gauge.inflight()
 }
 
 /// Serves the flight-recorder surface under `/debug/requests`:
@@ -1289,110 +1282,111 @@ fn html_escape(s: &str) -> String {
         .replace('>', "&gt;")
 }
 
-/// The route-class template and target design of one request, for
-/// metric labels, access-log lines, and capsules. Templates keep label
-/// cardinality bounded: concrete design names collapse into `{name}`
-/// on the route axis and appear only on the closed `design` axis.
-fn classify(state: &ServiceState, method: &str, path: &str) -> (&'static str, String) {
-    match (method, path) {
-        ("GET", "/healthz") => ("/healthz", "-".to_string()),
-        ("GET", "/metrics") => ("/metrics", "-".to_string()),
-        ("GET", "/snapshot.json") => ("/snapshot.json", "-".to_string()),
-        ("GET", "/timeline.json") => ("/timeline.json", "-".to_string()),
-        ("GET", "/designs") => ("/designs", "-".to_string()),
-        ("GET", "/query") => ("/query", "-".to_string()),
-        ("GET", "/dashboard") => ("/dashboard", "-".to_string()),
-        ("GET", "/debug/profile") => ("/debug/profile", "-".to_string()),
-        ("POST", "/eco") => ("/eco", state.default_design.clone()),
-        ("POST", "/snapshot/save") => ("/snapshot/save", "-".to_string()),
-        ("POST", "/shutdown") => ("/shutdown", "-".to_string()),
-        (_, p) if p == "/debug/requests" || p.starts_with("/debug/requests/") => {
-            ("/debug/requests", "-".to_string())
-        }
-        (_, p) if p.starts_with("/designs/") => {
-            let rest = &p["/designs/".len()..];
-            let (name, action) = rest.split_once('/').unwrap_or((rest, ""));
-            // Only registered designs become label values — an open
-            // endpoint must not mint unbounded design labels.
-            let design = state
-                .registry
-                .entry(name)
-                .map_or_else(|_| "-".to_string(), |entry| entry.name().to_string());
-            match action {
-                "" => ("/designs/{name}", design),
-                "warm" => ("/designs/{name}/warm", design),
-                "timing" => ("/designs/{name}/timing", design),
-                "eco" => ("/designs/{name}/eco", design),
-                _ => ("other", design),
-            }
-        }
-        _ => ("other", "-".to_string()),
-    }
+/// One row of the route table: the route template (the `route` label of
+/// metrics, access-log lines, capsules and SLOs, where concrete design
+/// names collapse into `{name}`), the one method it answers, the
+/// `serve.inflight.*` gauge its requests count in, and the handler, given
+/// the path's design name or `/debug/requests/` remainder.
+struct Route(
+    &'static str,
+    &'static str,
+    &'static str,
+    fn(&ServiceState, &Request, &str) -> Response,
+);
+
+/// Every route `svtd` serves.
+#[rustfmt::skip]
+const ROUTES: [Route; 16] = [
+    Route("/healthz",               "GET",  "serve.inflight.healthz",   |s, _, _| healthz(s)),
+    Route("/metrics",               "GET",  "serve.inflight.metrics",   |s, _, _| metrics(s)),
+    Route("/snapshot.json",         "GET",  "serve.inflight.snapshot",  |_, _, _| snapshot_json()),
+    Route("/timeline.json",         "GET",  "serve.inflight.timeline",  |_, _, _| timeline_json()),
+    Route("/designs",               "GET",  "serve.inflight.designs",   |s, _, _| designs_index(s)),
+    Route("/query",                 "GET",  "serve.inflight.query",     |_, r, _| tsdb_query(&r.path)),
+    Route("/dashboard",             "GET",  "serve.inflight.dashboard", |s, _, _| dashboard(s)),
+    Route("/debug/profile",         "GET",  "serve.inflight.profile",   |_, r, _| debug_profile(&r.path)),
+    Route("/debug/requests",        "GET",  "serve.inflight.other",     |_, _, rest| debug_requests(rest)),
+    Route("/eco",                   "POST", "serve.inflight.eco",       |s, r, n| design_eco(s, n, r)),
+    Route("/snapshot/save",         "POST", "serve.inflight.other",     |s, _, _| snapshot_save(s)),
+    Route("/shutdown",              "POST", "serve.inflight.other",     |s, _, _| shutdown(s)),
+    Route("/designs/{name}",        "GET",  "serve.inflight.designs",   |s, _, n| design_detail(s, n)),
+    Route("/designs/{name}/warm",   "POST", "serve.inflight.warm",      |s, _, n| design_warm(s, n)),
+    Route("/designs/{name}/timing", "GET",  "serve.inflight.timing",    |s, _, n| design_timing(s, n)),
+    Route("/designs/{name}/eco",    "POST", "serve.inflight.eco",       |s, r, n| design_eco(s, n, r)),
+];
+
+/// The class of every path that names no route: its handler answers
+/// `404` with the reason [`resolve`] gives.
+const OTHER: Route = Route("other", "", "serve.inflight.other", |_, _, why| {
+    Response::error(404, why)
+});
+
+/// A request resolved once against [`ROUTES`]: dispatch, the metric
+/// labels, the in-flight gauge, the access-log line, the capsule and the
+/// SLO engine all read this one value.
+struct Resolved<'r> {
+    route: &'static Route,
+    /// The registered design the path names (the default one for `/eco`),
+    /// else `-`: unregistered names never mint labels.
+    design: &'r str,
+    /// The handler's argument; `None` (answered `405`) under another method.
+    arg: Option<&'r str>,
 }
 
-/// The undecorated dispatch: maps one request to its endpoint handler.
-fn dispatch(state: &ServiceState, req: &Request, path: &str) -> Response {
-    match (req.method.as_str(), path) {
-        ("GET", "/healthz") => healthz(state),
-        ("GET", "/metrics") => metrics(state),
-        ("GET", "/snapshot.json") => Response::json(svt_obs::registry().snapshot().to_json()),
-        ("GET", "/timeline.json") => Response::json(svt_obs::chrome::render_chrome_trace(
-            &svt_obs::timeline::snapshot_all(),
-        )),
-        ("GET", "/designs") => designs_index(state),
-        ("GET", "/query") => tsdb_query(&req.path),
-        ("GET", "/dashboard") => dashboard(state),
-        ("GET", "/debug/profile") => debug_profile(&req.path),
-        ("GET", "/debug/requests") => debug_requests(""),
-        ("GET", p) if p.starts_with("/debug/requests/") => {
-            debug_requests(&p["/debug/requests/".len()..])
+/// Resolves `method` and the query-free `path` against [`ROUTES`].
+///
+/// A request the router refuses itself is labelled by its path alone: a
+/// path that names a route keeps that route's class, design label and
+/// gauge and is answered `405` under any other method; a path that
+/// names none is class `other`, design `-`, gauge
+/// `serve.inflight.other`, and is answered `404`.
+fn resolve<'r>(state: &'r ServiceState, method: &str, path: &'r str) -> Resolved<'r> {
+    let unknown = |why| Resolved {
+        route: &OTHER,
+        design: "-",
+        arg: Some(why),
+    };
+    let (class, arg, design) = if let Some(rest) = path.strip_prefix("/designs/") {
+        let (name, action) = rest.split_once('/').unwrap_or((rest, ""));
+        if name.is_empty() {
+            return unknown("missing design name");
         }
-        ("POST", "/eco") => design_eco(state, &state.default_design, req),
-        ("POST", "/snapshot/save") => snapshot_save(state),
-        ("POST", "/shutdown") => {
-            state.begin_drain();
-            Response::json("{\"status\":\"draining\"}".to_string())
-        }
-        (method, p) if p.starts_with("/designs/") => {
-            let rest = &p["/designs/".len()..];
-            let (name, action) = match rest.split_once('/') {
-                Some((name, action)) => (name, action),
-                None => (rest, ""),
-            };
-            if name.is_empty() {
-                return Response::error(404, "missing design name");
-            }
-            match (method, action) {
-                ("GET", "") => design_detail(state, name),
-                ("POST", "warm") => design_warm(state, name),
-                ("GET", "timing") => design_timing(state, name),
-                ("POST", "eco") => design_eco(state, name, req),
-                (_, "" | "warm" | "timing" | "eco") => Response::error(405, "method not allowed"),
-                _ => Response::error(404, "no such design endpoint"),
-            }
-        }
-        (
-            _,
-            "/healthz" | "/metrics" | "/snapshot.json" | "/timeline.json" | "/eco" | "/designs"
-            | "/shutdown" | "/snapshot/save" | "/query" | "/dashboard" | "/debug/profile",
-        ) => Response::error(405, "method not allowed"),
-        (_, p) if p == "/debug/requests" || p.starts_with("/debug/requests/") => {
-            Response::error(405, "method not allowed")
-        }
-        _ => Response::error(404, "no such endpoint"),
+        let class = match action {
+            "" => "/designs/{name}",
+            "warm" => "/designs/{name}/warm",
+            "timing" => "/designs/{name}/timing",
+            "eco" => "/designs/{name}/eco",
+            _ => return unknown("no such design endpoint"),
+        };
+        let registered = state.registry.entry(name).is_ok();
+        (class, name, if registered { name } else { "-" })
+    } else if path == "/eco" {
+        (path, state.default_design(), state.default_design())
+    } else if let Some(rest) = path.strip_prefix("/debug/requests/") {
+        ("/debug/requests", rest, "-")
+    } else {
+        (path, "", "-")
+    };
+    let Some(route) = ROUTES.iter().find(|Route(template, ..)| *template == class) else {
+        return unknown("no such endpoint");
+    };
+    let Route(_, allowed, ..) = route;
+    Resolved {
+        route,
+        design,
+        arg: (method == *allowed).then_some(arg),
     }
 }
 
 /// Routes one request. Pure with respect to the connection: all I/O
 /// stays in the caller, which keeps every endpoint unit-testable without
-/// sockets. Wraps the dispatch in the full per-request observability
-/// decoration:
+/// sockets. The request is resolved once, and that one resolution
+/// drives the dispatch and the per-request observability:
 ///
-/// 1. a fresh [`svt_obs::RequestContext`] (monotonic trace id, route
-///    class, design) entered for the handler's duration, so every span,
-///    pool hop, and log line downstream shares the request's identity;
-/// 2. the `serve.request` span plus the labeled metric families
-///    `serve.requests{route,design,status}`,
+/// 1. a fresh trace id ([`svt_obs::recorder::next_trace_id`]) for the
+///    access-log line and the capsule;
+/// 2. the route's `serve.inflight.*` gauge, the `serve.request` span, and
+///    the labeled metric families `serve.requests{route,design,status}`,
 ///    `serve.latency_ns{route,design}`, and
 ///    `serve.response_bytes{route,design}`;
 /// 3. one JSONL access-log line when the state carries a log;
@@ -1401,30 +1395,29 @@ fn dispatch(state: &ServiceState, req: &Request, path: &str) -> Response {
 ///    [`ServerOptions::slow_ms`].
 #[must_use]
 pub fn route(state: &ServiceState, req: &Request) -> Response {
-    svt_obs::registry().counter("serve.requests").incr();
     let path = req.path.split('?').next().unwrap_or("");
-    let _inflight = inflight_guard(&req.method, path);
-    let (route_class, design) = classify(state, req.method.as_str(), path);
-    let trace_id = svt_obs::context::next_trace_id();
-    let _ctx = svt_obs::context::enter(svt_obs::RequestContext {
-        trace_id,
-        route: route_class.to_string(),
-        design: design.clone(),
-    });
+    let resolved = resolve(state, &req.method, path);
+    let &Route(class, _, gauge, handler) = resolved.route;
+    let design = resolved.design;
+    let _inflight = svt_obs::registry().gauge(gauge).inflight();
+    let trace_id = svt_obs::recorder::next_trace_id();
     let started = Instant::now();
     let start_ns = svt_obs::timeline::now_ns();
     let (alloc_count_0, alloc_bytes_0) = svt_obs::alloc::totals();
     let response = {
         let _span = svt_obs::span("serve.request");
-        dispatch(state, req, path)
+        match resolved.arg {
+            Some(arg) => handler(state, req, arg),
+            None => Response::error(405, "method not allowed"),
+        }
     };
     let latency = started.elapsed();
     let latency_ns = latency.as_nanos() as u64;
     let end_ns = svt_obs::timeline::now_ns();
     let (alloc_count_1, alloc_bytes_1) = svt_obs::alloc::totals();
-    let labels = [route_class, design.as_str()];
-    svt_obs::family_counter!("serve.requests_by", &["route", "design", "status"])
-        .with(&[route_class, &design, status_class(response.status)])
+    let labels = [class, design];
+    svt_obs::family_counter!("serve.requests", &["route", "design", "status"])
+        .with(&[class, design, status_class(response.status)])
         .incr();
     svt_obs::family_histogram!("serve.latency_ns", &["route", "design"])
         .with(&labels)
@@ -1432,7 +1425,7 @@ pub fn route(state: &ServiceState, req: &Request) -> Response {
     // Plain (unlabeled) latency histogram: the sampler derives the
     // dashboard's p50/p99 series from its bucket deltas.
     svt_obs::histogram!("serve.latency_all_ns").record(latency_ns);
-    state.slo.observe(route_class, response.status, latency_ns);
+    state.slo.observe(class, response.status, latency_ns);
     svt_obs::family_histogram!("serve.response_bytes", &["route", "design"])
         .with(&labels)
         .record(response.body.len() as u64);
@@ -1443,8 +1436,8 @@ pub fn route(state: &ServiceState, req: &Request) -> Response {
             trace_id,
             method: req.method.clone(),
             path: req.path.clone(),
-            route: route_class.to_string(),
-            design: design.clone(),
+            route: class.to_string(),
+            design: design.to_string(),
             status: response.status,
             latency_us: latency.as_micros() as u64,
             queue_wait_us: queue_wait_ns / 1_000,
@@ -1471,8 +1464,8 @@ pub fn route(state: &ServiceState, req: &Request) -> Response {
             trace_id,
             method: req.method.clone(),
             path: req.path.clone(),
-            route: route_class.to_string(),
-            design,
+            route: class.to_string(),
+            design: design.to_string(),
             status: response.status,
             latency_ns,
             queue_wait_ns,
@@ -1840,28 +1833,139 @@ mod tests {
         ServiceState::new(&[DesignSpec::Builtin], options).expect("state")
     }
 
+    /// The newest capsule, `req`'s own under [`recorder_lock`] with
+    /// `slow_ms: Some(0)`.
+    fn capsule_of(req: &Request) -> svt_obs::RequestCapsule {
+        let capsule = svt_obs::recorder::capsules().pop().expect("captured");
+        assert_eq!((&capsule.method, &capsule.path), (&req.method, &req.path));
+        capsule
+    }
+
+    /// Every `serve.inflight.*` gauge that is not back at 0.
+    fn raised_inflight_gauges() -> Vec<(String, i64)> {
+        let gauges = svt_obs::registry().snapshot().gauges.into_iter();
+        gauges
+            .filter(|(name, value)| name.starts_with("serve.inflight.") && *value != 0)
+            .collect()
+    }
+
+    fn request(method: &str, path: &str, body: &str) -> Request {
+        Request {
+            method: method.into(),
+            path: path.into(),
+            body: body.into(),
+            keep_alive: true,
+        }
+    }
+
     #[test]
-    fn routes_classify_into_bounded_templates() {
-        let state = test_state(ServerOptions::default());
-        assert_eq!(classify(&state, "GET", "/healthz").0, "/healthz");
-        assert_eq!(
-            classify(&state, "POST", "/eco"),
-            ("/eco", "builtin".to_string())
-        );
-        assert_eq!(
-            classify(&state, "POST", "/designs/builtin/eco"),
-            ("/designs/{name}/eco", "builtin".to_string())
-        );
-        assert_eq!(
-            classify(&state, "GET", "/designs/nope/timing"),
-            ("/designs/{name}/timing", "-".to_string()),
-            "unregistered names must not mint design labels"
-        );
-        assert_eq!(
-            classify(&state, "GET", "/debug/requests/42/trace.json").0,
-            "/debug/requests"
-        );
-        assert_eq!(classify(&state, "GET", "/made/up/path").0, "other");
+    fn one_resolution_drives_status_labels_and_inflight_gauge() {
+        let _guard = recorder_lock();
+        svt_obs::recorder::clear();
+        let state = test_state(ServerOptions {
+            slow_ms: Some(0),
+            ..ServerOptions::default()
+        });
+        // Span recording decides `/debug/profile`'s answer.
+        svt_obs::set_mode(svt_obs::TraceMode::Off);
+        // Method, path, body (`_`: empty), status, route label, design
+        // label, in-flight gauge. Unregistered names mint no design
+        // label. The router's own answers: a known path keeps its labels
+        // and gauge under a wrong method, an unknown path is `other`.
+        // `/shutdown` runs last: the drain it starts changes answers.
+        let cases = "
+            GET    /healthz                      _   200 /healthz               -       healthz
+            GET    /metrics                      _   200 /metrics               -       metrics
+            GET    /snapshot.json                _   200 /snapshot.json         -       snapshot
+            GET    /timeline.json                _   200 /timeline.json         -       timeline
+            GET    /designs                      _   200 /designs               -       designs
+            GET    /query                        _   400 /query                 -       query
+            GET    /dashboard                    _   200 /dashboard             -       dashboard
+            GET    /debug/profile                _   503 /debug/profile         -       profile
+            GET    /debug/requests               _   200 /debug/requests        -       other
+            GET    /debug/requests/0/trace.json  _   404 /debug/requests        -       other
+            POST   /eco                          {   400 /eco                   builtin eco
+            POST   /snapshot/save                _   409 /snapshot/save         -       other
+            GET    /designs/builtin              _   200 /designs/{name}        builtin designs
+            POST   /designs/builtin/warm         _   200 /designs/{name}/warm   builtin warm
+            GET    /designs/builtin/timing       _   200 /designs/{name}/timing builtin timing
+            POST   /designs/builtin/eco          []  400 /designs/{name}/eco    builtin eco
+            GET    /designs/nope/timing          _   404 /designs/{name}/timing -       timing
+            DELETE /healthz                      _   405 /healthz               -       healthz
+            POST   /debug/requests               _   405 /debug/requests        -       other
+            GET    /eco                          _   405 /eco                   builtin eco
+            DELETE /designs/builtin/eco          _   405 /designs/{name}/eco    builtin eco
+            GET    /nope/timing                  _   404 other                  -       other
+            GET    /made/up/path                 _   404 other                  -       other
+            GET    /designs/                     _   404 other                  -       other
+            GET    /designs/builtin/bogus        _   404 other                  -       other
+            POST   /shutdown                     _   200 /shutdown              -       other";
+        let mut handled = Vec::new();
+        for case in cases.lines().skip(1) {
+            let f: Vec<&str> = case.split_whitespace().collect();
+            let req = request(f[0], f[1], if f[2] == "_" { "" } else { f[2] });
+            let gauge = resolve(&state, f[0], f[1]).route.2;
+            let status = route(&state, &req).status;
+            let capsule = capsule_of(&req);
+            let (class, design) = (capsule.route, capsule.design);
+            let gauge = &gauge["serve.inflight.".len()..];
+            let seen = format!("{status} {class} {design} {gauge}");
+            assert_eq!(seen, f[3..].join(" "), "{case}");
+            assert_eq!(raised_inflight_gauges(), vec![], "{case}");
+            if status != 405 {
+                handled.push(class);
+            }
+        }
+        assert!(ROUTES.iter().all(|r| handled.iter().any(|c| c == r.0)));
+        svt_obs::recorder::clear();
+    }
+
+    /// Byte soup for the router fuzz.
+    const SOUP: &[u8] = b"az09/-_.~%?=&+:@{}";
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// Hostile requests (a route template or nothing, then table
+        /// segments, empty segments or byte soup; an empty, garbage or
+        /// deeply nested body) never panic the router, carry a table class
+        /// or `other` and a registered design or `-`, and leave every
+        /// in-flight gauge at 0.
+        #[test]
+        fn fuzzed_requests_keep_labels_bounded_and_gauges_balanced(
+            method in 0usize..4,
+            base in 0usize..ROUTES.len() + 1,
+            name in 0usize..3,
+            parts in proptest::prop::collection::vec(
+                (0usize..48, proptest::prop::collection::vec(0usize..SOUP.len(), 0..6)),
+                0..3,
+            ),
+            body in 0usize..3,
+        ) {
+            let mut segments: Vec<&str> = ROUTES.iter().flat_map(|r| r.0.split('/')).collect();
+            segments.push("");
+            let template = ROUTES.get(base).map_or("", |r| r.0);
+            let mut path = template.replace("{name}", ["builtin", "nope", ""][name]);
+            for (pick, soup) in parts {
+                path.push('/');
+                match segments.get(pick) {
+                    Some(segment) => path.push_str(segment),
+                    None => path.extend(soup.into_iter().map(|i| char::from(SOUP[i]))),
+                }
+            }
+            let deep = "[".repeat(100_000);
+            let req = request(["GET", "POST", "PUT", "DELETE"][method], &path, ["", "{", &deep][body]);
+            let state = test_state(ServerOptions { slow_ms: Some(0), ..ServerOptions::default() });
+            let _guard = recorder_lock();
+            let _ = route(&state, &req);
+            let capsule = capsule_of(&req);
+            proptest::prop_assert!(
+                capsule.route == "other" || ROUTES.iter().any(|r| r.0 == capsule.route),
+                "{path}: route label {}", capsule.route
+            );
+            proptest::prop_assert!(["builtin", "-"].contains(&capsule.design.as_str()), "{path}");
+            proptest::prop_assert_eq!(raised_inflight_gauges(), vec![], "{path}");
+        }
     }
 
     #[test]

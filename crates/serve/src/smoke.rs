@@ -366,6 +366,9 @@ fn check_designs(addr: &str, opts: &SmokeOptions) -> Result<String, String> {
     expect_status(addr, "POST", "/eco", "not json", 400)?;
     expect_status(addr, "POST", "/eco", "[]", 400)?;
     expect_status(addr, "GET", "/nope", "", 404)?;
+    // Nesting past the JSON depth bound is a 400, not a dead handler.
+    expect_status(addr, "POST", "/eco", &"[".repeat(100_000), 400)?;
+    expect_status(addr, "GET", "/healthz", "", 200)?;
     summary.push_str("error paths: 404/405/400 as specified\n");
     Ok(summary)
 }
